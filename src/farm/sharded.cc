@@ -153,12 +153,15 @@ std::uint64_t ShardedFarm::trace_digest() const {
 void ShardedFarm::shutdown() {
   if (down_) return;
   down_ = true;
-  // Pending events and parked frames own payloads that must die on the
-  // thread whose pool they came from — drop them on each shard's own worker
-  // before those workers exit.
+  // Pending events, parked frames and the daemons' parked receptions own
+  // payloads that must die on the thread whose pool they came from — drop
+  // them on each shard's own worker before those workers exit.
   set_->for_each_shard([this](std::size_t s) {
     sims_[s]->drop_pending();
-    farms_[s]->fabric().drop_in_flight();
+    Farm& farm = *farms_[s];
+    farm.fabric().drop_in_flight();
+    for (std::size_t n = 0; n < farm.node_count(); ++n)
+      if (farm.is_local(n)) farm.daemon(n).drop_in_flight();
   });
   set_->shutdown();
 }

@@ -142,7 +142,7 @@ void AdapterProtocol::end_beacon_phase() {
   if (state_ != AdapterState::kBeaconing) return;
 
   util::IpAddress best = self_ip();
-  for (const auto& [ip, heard] : heard_) best = std::max(best, ip);
+  if (!heard_.empty()) best = std::max(best, heard_.back().info.ip);
 
   if (best == self_ip()) {
     // We have the highest IP: undertake group formation (§2.1). Fellow
@@ -150,8 +150,8 @@ void AdapterProtocol::end_beacon_phase() {
     // overheard are led by lower IPs and will merge into us via
     // JoinRequest once their leaders hear our leader beacons.
     trace(obs::TraceKind::kElectionWon, {}, heard_.size());
-    for (const auto& [ip, heard] : heard_)
-      if (!heard.is_leader) pending_adds_[ip] = heard.info;
+    for (const HeardBeacon& heard : heard_)
+      if (!heard.is_leader) pending_adds_[heard.info.ip] = heard.info;
     if (pending_adds_.empty()) {
       install_singleton();
     } else {
@@ -177,9 +177,9 @@ void AdapterProtocol::defer_expired() {
   // member of the segment through an extra view change. One join attempt,
   // one more defer period; then the singleton fallback repairs the rest.
   if (!defer_join_attempted_) {
-    util::IpAddress target;
-    for (const auto& [ip, heard] : heard_)
-      if (heard.is_leader && ip > self_ip()) target = std::max(target, ip);
+    util::IpAddress target;  // heard_ ascends: the last match is the highest
+    for (const HeardBeacon& heard : heard_)
+      if (heard.is_leader && heard.info.ip > self_ip()) target = heard.info.ip;
     if (!target.is_unspecified()) {
       defer_join_attempted_ = true;
       GS_LOG(kDebug, "amg") << self_ip() << " defer timeout; joining leader "
@@ -196,6 +196,19 @@ void AdapterProtocol::defer_expired() {
   }
   GS_LOG(kDebug, "amg") << self_ip() << " defer timeout; forming singleton";
   install_singleton();
+}
+
+void AdapterProtocol::record_heard(const Beacon& msg) {
+  // The last beacon from each IP wins: overwrite in place, insert only on a
+  // peer's first beacon this phase.
+  const auto it = std::lower_bound(
+      heard_.begin(), heard_.end(), msg.self.ip,
+      [](const HeardBeacon& h, util::IpAddress ip) { return h.info.ip < ip; });
+  if (it != heard_.end() && it->info.ip == msg.self.ip) {
+    *it = HeardBeacon{msg.self, msg.is_leader};
+  } else {
+    heard_.insert(it, HeardBeacon{msg.self, msg.is_leader});
+  }
 }
 
 void AdapterProtocol::install_singleton() {
@@ -554,11 +567,7 @@ void AdapterProtocol::handle_beacon(util::IpAddress src, const Beacon& msg) {
   switch (state_) {
     case AdapterState::kBeaconing:
     case AdapterState::kWaitingForLeader: {
-      HeardBeacon heard;
-      heard.info = msg.self;
-      heard.is_leader = msg.is_leader;
-      heard.view = msg.view;
-      heard_[msg.self.ip] = heard;
+      record_heard(msg);
       trace(obs::TraceKind::kBeaconHeard, msg.self.ip, msg.view,
             msg.is_leader ? 1 : 0);
       return;

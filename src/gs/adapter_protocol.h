@@ -156,6 +156,7 @@ class AdapterProtocol {
   // --- Discovery ------------------------------------------------------------
   void begin_beaconing();
   void beacon_tick();
+  void record_heard(const Beacon& msg);
   void end_beacon_phase();
   void defer_expired();
   void install_singleton();
@@ -228,13 +229,16 @@ class AdapterProtocol {
   ProtocolStats stats_;
   std::unique_ptr<FailureDetector> fd_;
 
-  // Discovery.
+  // Discovery: the last beacon heard from each peer, one entry per IP in a
+  // flat vector sorted by info.ip. On a cold start every adapter of a
+  // segment hears every other one once per beacon interval, so nearly every
+  // reception overwrites an entry found by binary search over contiguous
+  // memory; only a peer's first beacon inserts.
   struct HeardBeacon {
     MemberInfo info;
     bool is_leader = false;
-    std::uint64_t view = 0;
   };
-  std::map<util::IpAddress, HeardBeacon> heard_;
+  std::vector<HeardBeacon> heard_;
   sim::Timer beacon_send_timer_;
   sim::Timer beacon_end_timer_;
   sim::Timer defer_timer_;

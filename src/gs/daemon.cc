@@ -46,8 +46,7 @@ GsDaemon::GsDaemon(Options opts)
       rng_(opts.rng),
       central_(opts.central),
       root_central_(opts.root_central),
-      uplink_index_(opts.uplink_adapter_index),
-      alive_(std::make_shared<GsDaemon*>(this)) {
+      uplink_index_(opts.uplink_adapter_index) {
   GS_CHECK_MSG(opts.clock != nullptr && opts.transport != nullptr &&
                    opts.params != nullptr,
                "GsDaemon::Options requires clock, transport, and params");
@@ -105,7 +104,8 @@ GsDaemon::GsDaemon(Options opts)
 }
 
 GsDaemon::~GsDaemon() {
-  alive_.reset();  // voids in-flight skew / processing-delay callbacks
+  start_timer_.cancel();
+  drop_in_flight();
   report_retry_timer_.cancel();
   report_refresh_timer_.cancel();
   if (started_) {
@@ -135,19 +135,16 @@ void GsDaemon::start() {
   started_ = true;
   const sim::SimDuration skew =
       params_.start_skew_max > 0 ? rng_.range(0, params_.start_skew_max) : 0;
-  // Fire-and-forget (no Timer member): guard with the life token so a
-  // daemon destroyed mid-skew never starts into freed memory.
-  sim_.after(skew, [self = std::weak_ptr<GsDaemon*>(alive_)] {
-    const auto locked = self.lock();
-    if (!locked) return;
-    GsDaemon* d = *locked;
-    for (std::size_t i = 0; i < d->protocols_.size(); ++i) {
-      d->transport_.set_receive_handler(
-          i, [d, i](const net::Datagram& dgram) { d->on_datagram(i, dgram); });
-      if (!d->halted_) d->protocols_[i]->start();
-    }
-    if (!d->halted_) d->arm_report_refresh();
-  });
+  start_timer_ = sim_.after(skew, [this] { begin_receiving(); });
+}
+
+void GsDaemon::begin_receiving() {
+  for (std::size_t i = 0; i < protocols_.size(); ++i) {
+    transport_.set_receive_handler(
+        i, [this, i](const net::Datagram& dgram) { on_datagram(i, dgram); });
+    if (!halted_) protocols_[i]->start();
+  }
+  if (!halted_) arm_report_refresh();
 }
 
 void GsDaemon::halt() {
@@ -182,13 +179,37 @@ void GsDaemon::on_datagram(std::size_t index, const net::Datagram& dgram) {
     delay = static_cast<sim::SimDuration>(
         rng_.exponential(static_cast<double>(params_.proc_delay_mean)));
   }
-  // Fire-and-forget: the life token voids the dispatch if the daemon is
-  // destroyed while the processing delay is pending.
-  sim_.after(delay,
-             [self = std::weak_ptr<GsDaemon*>(alive_), index, dgram] {
-               if (const auto locked = self.lock())
-                 (*locked)->dispatch(index, dgram);
-             });
+  std::uint32_t slot;
+  if (in_flight_free_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = in_flight_free_.back();
+    in_flight_free_.pop_back();
+  }
+  InFlight& parked = in_flight_[slot];
+  parked.dgram = dgram;
+  parked.index = index;
+  parked.timer = sim_.after(delay, [this, slot] { deliver_parked(slot); });
+}
+
+void GsDaemon::deliver_parked(std::uint32_t slot) {
+  // Unpark before dispatching: handlers may re-enter on_datagram (a local
+  // send delivered synchronously) and grow or reuse the slab.
+  InFlight& parked = in_flight_[slot];
+  const net::Datagram dgram = std::move(parked.dgram);
+  const std::size_t index = parked.index;
+  // The event is firing: leave the slot's handle inert without a cancel
+  // round-trip (a Timer's destructor never cancels).
+  sim::Timer(std::move(parked.timer));
+  in_flight_free_.push_back(slot);
+  dispatch(index, dgram);
+}
+
+void GsDaemon::drop_in_flight() {
+  for (InFlight& parked : in_flight_) parked.timer.cancel();
+  in_flight_.clear();
+  in_flight_free_.clear();
 }
 
 void GsDaemon::dispatch(std::size_t index, const net::Datagram& dgram) {

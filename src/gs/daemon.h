@@ -21,6 +21,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -119,10 +120,10 @@ class GsDaemon {
   GsDaemon(const GsDaemon&) = delete;
   GsDaemon& operator=(const GsDaemon&) = delete;
 
-  // Cancels every daemon-held timer and unhooks the transport's receive
-  // handlers. In-flight start-skew / processing-delay callbacks hold a weak
-  // life token and become no-ops — a daemon destroyed with timers in flight
-  // never fires into a dead transport.
+  // Cancels every timer the daemon armed — the start skew, each received
+  // datagram's processing delay, report retry/refresh — and unhooks the
+  // transport's receive handlers: a daemon destroyed with timers in flight
+  // never fires into freed memory or a dead transport.
   ~GsDaemon();
 
   // Begins operation after the modelled start-up skew.
@@ -161,6 +162,12 @@ class GsDaemon {
   // the root GSC (unspecified while uncommitted or without an uplink).
   [[nodiscard]] util::IpAddress uplink_root_ip() const;
 
+  // Drops every parked datagram without dispatching it, cancelling its
+  // processing-delay event. Teardown only, like Fabric::drop_in_flight():
+  // call it on the thread that runs the daemon, so the parked payloads die
+  // in their home pool.
+  void drop_in_flight();
+
   [[nodiscard]] std::uint64_t frames_dropped() const {
     return frames_dropped_;
   }
@@ -174,7 +181,19 @@ class GsDaemon {
     net::Payload frame;  // encoded once; retries share the same bytes
   };
 
+  // One received datagram waiting out its modelled processing delay, parked
+  // in a slab so the delay event captures only {this, slot} — inside
+  // std::function's inline buffer, so a reception allocates nothing. A free
+  // slot's timer is inert; a parked one names its pending delay event.
+  struct InFlight {
+    net::Datagram dgram;
+    sim::Timer timer;
+    std::size_t index = 0;  // receiving adapter
+  };
+
+  void begin_receiving();
   void on_datagram(std::size_t index, const net::Datagram& dgram);
+  void deliver_parked(std::uint32_t slot);
   void dispatch(std::size_t index, const net::Datagram& dgram);
   void handle_report_frame(util::IpAddress src, const MembershipReport& rep);
   void handle_report_ack(const ReportAck& ack);
@@ -204,9 +223,10 @@ class GsDaemon {
   DomainUplink* uplink_ = nullptr;
   std::optional<std::size_t> uplink_index_;
 
-  // Life token for fire-and-forget callbacks (start skew, per-message
-  // processing delay): they hold a weak_ptr and no-op once this resets.
-  std::shared_ptr<GsDaemon*> alive_;
+  sim::Timer start_timer_;
+  // Bounded by the in-flight high-water mark, not by datagrams ever received.
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> in_flight_free_;
 
   util::IpAddress last_gsc_;
   util::IpAddress last_root_;

@@ -1,8 +1,8 @@
 // Decode-once codec path coverage: the shared verify/decode cache on
 // net::Payload, fault-injected corruption staying isolated from the shared
 // cache, the cache on/off determinism pin (byte-identical traces), the soak
-// codec invariant, and the zero-allocation contract for steady-state
-// heartbeat encode+decode.
+// codec invariant, and the zero-allocation contracts for steady-state
+// heartbeat encode+decode and for a daemon's receive path.
 //
 // This binary overrides global operator new/delete with counting shims so
 // the allocation test can assert "zero heap traffic" directly; the counters
@@ -21,11 +21,14 @@
 
 #include "farm/farm.h"
 #include "farm/scenario.h"
+#include "gs/daemon.h"
 #include "gs/messages.h"
 #include "net/fabric.h"
 #include "net/payload.h"
+#include "net/transport.h"
 #include "obs/jsonl_sink.h"
 #include "obs/trace.h"
+#include "sim/heap_queue.h"
 #include "sim/simulator.h"
 #include "soak/invariants.h"
 #include "wire/frame.h"
@@ -443,6 +446,187 @@ TEST(CodecAllocations, HeartbeatRearmFastPathIsAllocationFree) {
   for (const auto& t : suspicion) EXPECT_TRUE(t.armed());
   sim.run_until(sim.now() + 2 * kSuspect);
   EXPECT_EQ(fired, kMonitors);
+}
+
+// The receive half: a daemon's transport handler parks the datagram for its
+// modelled processing delay, the delay event dispatches it, and the adapter
+// protocol handles it — a beacon during discovery (the heard-table update)
+// or a heartbeat from a monitored group-mate (the suspicion re-arm). That is
+// every reception in the farm, so once the daemon's slab, the event queue
+// and the payload pool are warm the whole path must not touch the heap.
+
+// A TimeSource over the reference binary heap (sim/heap_queue.h). A heap
+// keeps no storage indexed by time, so once warm it stays allocation-free
+// however far simulated time advances, and these tests can run realistic
+// delays and periods while charging every allocation to the daemon. (The
+// timing wheel grows a bucket the first time a deadline lands in it; that
+// is amortised, and pinned separately by
+// HeartbeatRearmFastPathIsAllocationFree.)
+class HeapClock final : public sim::TimeSource {
+ public:
+  [[nodiscard]] sim::SimTime now() const override { return now_; }
+  sim::Timer at(sim::SimTime when, std::function<void()> fn) override {
+    return make_timer(queue_.push(when, std::move(fn)));
+  }
+  void run_until(sim::SimTime deadline) {
+    while (!queue_.empty() && queue_.next_time() <= deadline) {
+      auto [when, fn] = queue_.pop();
+      now_ = when;
+      fn();
+    }
+    now_ = deadline;
+  }
+
+ protected:
+  bool cancel_event(sim::EventId id) override { return queue_.cancel(id); }
+  sim::EventId reschedule_event(sim::EventId id, sim::SimTime when) override {
+    return queue_.reschedule(id, when);
+  }
+
+ private:
+  sim::HeapEventQueue queue_;
+  sim::SimTime now_ = 0;
+};
+
+// A one-port Transport that drops whatever the daemon sends and lets the
+// test play the network through the daemon's installed receive handler.
+class ScriptedTransport final : public net::Transport {
+ public:
+  static constexpr util::IpAddress kSelf{10, 0, 0, 5};
+
+  [[nodiscard]] std::size_t port_count() const override { return 1; }
+  [[nodiscard]] util::IpAddress local_ip(std::size_t) const override {
+    return kSelf;
+  }
+  [[nodiscard]] util::MacAddress local_mac(std::size_t) const override {
+    return util::MacAddress(5);
+  }
+  bool unicast(std::size_t, util::IpAddress, net::Payload) override {
+    return true;
+  }
+  bool multicast(std::size_t, util::IpAddress, net::Payload) override {
+    return true;
+  }
+  [[nodiscard]] bool loopback_ok(std::size_t) const override { return true; }
+  void set_receive_handler(std::size_t, ReceiveHandler handler) override {
+    handler_ = std::move(handler);
+  }
+
+  // Hands a freshly encoded frame from `src` to the daemon, the way the
+  // fabric delivers a multicast or unicast reception.
+  template <typename T>
+  void receive(util::IpAddress src, const T& msg, bool multicast) {
+    ASSERT_TRUE(handler_ != nullptr);
+    net::Datagram dgram;
+    dgram.src = src;
+    dgram.dst = multicast ? net::kBeaconGroup : kSelf;
+    dgram.multicast = multicast;
+    dgram.vlan = util::VlanId(1);
+    dgram.payload = net::Payload::copy_of(proto::build_frame(scratch_, msg));
+    handler_(dgram);
+  }
+
+ private:
+  ReceiveHandler handler_;
+  wire::Writer scratch_;
+};
+
+proto::MemberInfo host_info(std::uint8_t host) {
+  proto::MemberInfo m;
+  m.ip = util::IpAddress(10, 0, 0, host);
+  m.mac = util::MacAddress(host);
+  m.node = util::NodeId(host);
+  return m;
+}
+
+class ReceivePathAllocations : public ::testing::Test {
+ protected:
+  static constexpr int kRounds = 1000;
+
+  ReceivePathAllocations() {
+    params_.beacon_phase = sim::seconds(10'000);  // outlasts the test
+    proto::GsDaemon::Options opts;
+    opts.clock = &sim_;
+    opts.transport = &transport_;
+    opts.params = &params_;
+    opts.node.node = util::NodeId(5);
+    opts.node.name = "n5";
+    opts.rng = util::Rng(5);
+    daemon_.emplace(std::move(opts));
+    daemon_->start();
+    sim_.run_until(params_.start_skew_max + sim::milliseconds(1));
+  }
+
+  // Runs kRounds of `round` as warm-up, then kRounds more with allocation
+  // counting armed; returns the count.
+  template <typename Round>
+  std::uint64_t measured_allocations(Round round) {
+    for (int r = 0; r < kRounds; ++r) round();
+    g_allocs = 0;
+    g_count_allocs = true;
+    for (int r = 0; r < kRounds; ++r) round();
+    g_count_allocs = false;
+    return g_allocs;
+  }
+
+  [[nodiscard]] std::uint64_t decoded(proto::MsgType type) const {
+    return daemon_->wire_stats().decoded[static_cast<std::size_t>(type)];
+  }
+
+  HeapClock sim_;
+  proto::Params params_;
+  ScriptedTransport transport_;
+  std::optional<proto::GsDaemon> daemon_;
+};
+
+TEST_F(ReceivePathAllocations, KnownSenderBeaconDuringDiscovery) {
+  ASSERT_EQ(daemon_->protocol(0).state(), proto::AdapterState::kBeaconing);
+  // Eight segment peers beacon every round: the first round inserts them
+  // into the heard table, every later one overwrites their entries.
+  auto round = [&] {
+    for (std::uint8_t host = 11; host <= 18; ++host) {
+      proto::Beacon b{};
+      b.self = host_info(host);
+      transport_.receive(b.self.ip, b, /*multicast=*/true);
+    }
+    sim_.run_until(sim_.now() + params_.beacon_interval);
+  };
+  const std::uint64_t allocs = measured_allocations(round);
+  EXPECT_EQ(daemon_->protocol(0).state(), proto::AdapterState::kBeaconing);
+  EXPECT_EQ(decoded(proto::MsgType::kBeacon), 2u * kRounds * 8u);
+  EXPECT_EQ(allocs, 0u) << "beacon reception allocated on the heap";
+}
+
+TEST_F(ReceivePathAllocations, MonitoredPeerHeartbeatWhenCommitted) {
+  // A higher-IP leader absorbs us into the view {10.0.0.9, 10.0.0.5}.
+  const util::IpAddress leader(10, 0, 0, 9);
+  proto::Prepare prepare{};
+  prepare.view = 7;
+  prepare.leader = leader;
+  prepare.members = {host_info(9), host_info(5)};
+  transport_.receive(leader, prepare, /*multicast=*/false);
+  sim_.run_until(sim_.now() + sim::milliseconds(100));
+  proto::Commit commit{};
+  commit.view = 7;
+  commit.members = prepare.members;
+  transport_.receive(leader, commit, /*multicast=*/false);
+  sim_.run_until(sim_.now() + sim::milliseconds(100));
+  ASSERT_TRUE(daemon_->protocol(0).is_committed());
+  ASSERT_EQ(daemon_->protocol(0).leader_ip(), leader);
+
+  // Every arrival from the monitored leader re-arms its suspicion timer.
+  std::uint64_t seq = 0;
+  auto round = [&] {
+    proto::Heartbeat hb{};
+    hb.view = 7;
+    hb.seq = ++seq;
+    transport_.receive(leader, hb, /*multicast=*/false);
+    sim_.run_until(sim_.now() + params_.hb_period);
+  };
+  const std::uint64_t allocs = measured_allocations(round);
+  EXPECT_TRUE(daemon_->protocol(0).is_committed());
+  EXPECT_EQ(decoded(proto::MsgType::kHeartbeat), 2u * kRounds);
+  EXPECT_EQ(allocs, 0u) << "heartbeat reception allocated on the heap";
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 // Farm builder and scenario-helper unit tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <string>
 
 #include "farm/farm.h"
 #include "farm/scenario.h"
+#include "obs/jsonl_sink.h"
 
 namespace gs::farm {
 namespace {
@@ -177,6 +182,54 @@ TEST(Scenario, RunUntilTimesOut) {
   auto t = run_until(sim, sim::seconds(2), [] { return false; });
   EXPECT_FALSE(t.has_value());
   EXPECT_EQ(sim.now(), sim::seconds(2));
+}
+
+// --- golden trace pin ---------------------------------------------------------
+
+// A seeded oceano farm boots, loses its last node, gets it back and
+// re-converges; the full JSONL trace (every record kind, beacon receptions
+// included) is digested with FNV-1a and compared against a recorded
+// constant. Performance work on the protocol and delivery paths must keep
+// the simulated run byte-identical, so this digest never changes unless
+// observable behaviour does — update it only together with a CHANGES.md
+// line saying which behaviour changed and why.
+TEST(GoldenTrace, SeededBootFailureRecoveryDigestIsPinned) {
+  constexpr std::uint64_t kGoldenDigest = 0x02422aba42c70482ull;
+  constexpr std::uint64_t kGoldenLines = 1791;
+
+  const std::string path = ::testing::TempDir() + "/golden_trace.jsonl";
+  {
+    sim::Simulator sim;
+    const proto::Params params;  // paper defaults: a full 5 s beacon phase
+    Farm farm(sim, FarmSpec::oceano(2, 2, 2, 2, 2), params, /*seed=*/1313);
+    obs::JsonlSink sink;
+    ASSERT_TRUE(sink.open(path));
+    auto tap = sink.tap(farm.trace_bus());
+    farm.start();
+    ASSERT_TRUE(run_until_converged(farm, sim::seconds(120)));
+    const std::size_t victim = farm.node_count() - 1;
+    farm.fail_node(victim);
+    sim.run_until(sim.now() + sim::seconds(30));
+    farm.recover_node(victim);
+    ASSERT_TRUE(run_until_converged(farm, sim.now() + sim::seconds(120)));
+    sink.close();
+    ASSERT_TRUE(sink.ok());
+  }
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  std::uint64_t lines = 0;
+  for (char c; in.get(c);) {
+    digest = (digest ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ull;
+    if (c == '\n') ++lines;
+  }
+  in.close();
+  std::remove(path.c_str());
+  EXPECT_EQ(lines, kGoldenLines);
+  EXPECT_EQ(digest, kGoldenDigest)
+      << std::hex << "trace digest 0x" << digest
+      << " — the seeded run's observable behaviour changed";
 }
 
 }  // namespace

@@ -3,10 +3,13 @@
 // exercised deterministically without a network in between.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <deque>
 #include <map>
+#include <set>
 
 #include "gs/adapter_protocol.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 #include "wire/frame.h"
 
@@ -492,6 +495,84 @@ TEST_F(ProtocolUnit, DeferTimeoutTriesHeardLeaderBeforeSingleton) {
   ASSERT_TRUE(proto_->is_committed());
   EXPECT_TRUE(proto_->is_leader());
   EXPECT_EQ(proto_->committed().size(), 1u);
+}
+
+// --- Discovery table ------------------------------------------------------------
+
+TEST_F(ProtocolUnit, RepeatedAndOutOfOrderBeaconsCountOncePerSender) {
+  obs::TraceBus bus;
+  params_.trace = &bus;
+  std::vector<std::uint64_t> won;  // kElectionWon's distinct-IP count
+  auto sub = bus.subscribe([&won](const obs::TraceRecord& r) {
+    if (r.kind == obs::TraceKind::kElectionWon) won.push_back(r.a);
+  });
+  make_protocol(9);
+  proto_->start();
+  // Three senders, out of IP order and each heard more than once.
+  for (const std::uint8_t host :
+       std::array<std::uint8_t, 7>{5, 3, 7, 5, 3, 5, 7}) {
+    Beacon b{};
+    b.self = member(host);
+    inject(ip(host), b);
+  }
+  sim_.run_until(sim_.now() + params_.beacon_phase + sim::milliseconds(1));
+
+  ASSERT_EQ(won.size(), 1u);
+  EXPECT_EQ(won[0], 3u);
+  EXPECT_EQ(count_sent(MsgType::kPrepare), 3u);  // one per member
+  const SentFrame* prep = find_sent(MsgType::kPrepare, ip(5));
+  ASSERT_NE(prep, nullptr);
+  const auto prepare = decode_Prepare(prep->payload);
+  ASSERT_TRUE(prepare.has_value());
+  std::multiset<util::IpAddress> listed;
+  for (const MemberInfo& m : prepare->members) listed.insert(m.ip);
+  EXPECT_EQ(listed,
+            (std::multiset<util::IpAddress>{ip(3), ip(5), ip(7), ip(9)}));
+}
+
+TEST_F(ProtocolUnit, DeferJoinTargetUsesLastBeaconHeardFromEachSender) {
+  make_protocol(5);
+  proto_->start();
+  // 9 beacons as a committed leader, then as a non-leader (it reset); 7
+  // leads throughout. Only the last beacon from 9 counts.
+  Beacon b9{};
+  b9.self = member(9);
+  b9.is_leader = true;
+  b9.view = 4;
+  inject(ip(9), b9);
+  Beacon b7{};
+  b7.self = member(7);
+  b7.is_leader = true;
+  b7.view = 3;
+  inject(ip(7), b7);
+  b9.is_leader = false;
+  b9.view = 0;
+  inject(ip(9), b9);
+  sim_.run_until(sim_.now() + params_.beacon_phase + sim::milliseconds(1));
+  ASSERT_EQ(proto_->state(), AdapterState::kWaitingForLeader);
+
+  sim_.run_until(sim_.now() + params_.defer_timeout + sim::milliseconds(1));
+  EXPECT_EQ(find_sent(MsgType::kJoinRequest, ip(9)), nullptr);
+  EXPECT_NE(find_sent(MsgType::kJoinRequest, ip(7)), nullptr);
+}
+
+TEST_F(ProtocolUnit, DeferJoinTargetIsHighestHeardLeaderAboveSelf) {
+  make_protocol(5);
+  proto_->start();
+  // Two leaders above us (the higher one heard first) and one below.
+  for (const std::uint8_t host : std::array<std::uint8_t, 3>{9, 3, 7}) {
+    Beacon b{};
+    b.self = member(host);
+    b.is_leader = true;
+    b.view = host;
+    inject(ip(host), b);
+  }
+  sim_.run_until(sim_.now() + params_.beacon_phase + sim::milliseconds(1));
+  ASSERT_EQ(proto_->state(), AdapterState::kWaitingForLeader);
+
+  sim_.run_until(sim_.now() + params_.defer_timeout + sim::milliseconds(1));
+  EXPECT_EQ(count_sent(MsgType::kJoinRequest), 1u);
+  EXPECT_NE(find_sent(MsgType::kJoinRequest, ip(9)), nullptr);
 }
 
 TEST_F(ProtocolUnit, StaleNoticeMapPrunedWhenPeerJoins) {

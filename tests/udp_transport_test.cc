@@ -58,10 +58,17 @@ TEST(UdpPortMapTest, PortSpaceExhaustionAbortsInsteadOfWrapping) {
   EXPECT_DEATH((void)map.vlan_base(util::VlanId(17)), "port space exhausted");
 }
 
+// Every case binds its own 16-port block — room for two VLAN ranges of 8 —
+// in 48100..48179, clear of realtime_test's 48200 and 48300 ranges:
+// gtest_discover_tests runs the cases as concurrent processes under
+// `ctest -j`, and cases sharing one range raced each other for the binds.
 struct Harness {
+  explicit Harness(int block)
+      : map(static_cast<std::uint16_t>(48100 + 16 * block), 8) {}
+
   sim::WallClock clock;
   EventLoop loop;
-  UdpPortMap map{48100, 32};
+  UdpPortMap map;
 
   bool pump(const std::function<bool()>& until) {
     return loop.run_until(clock, clock.now() + sim::seconds(5), until);
@@ -69,7 +76,7 @@ struct Harness {
 };
 
 TEST(UdpTransportTest, UnicastRoundTripDeliversFrameWithResolvedSource) {
-  Harness h;
+  Harness h(0);
   UdpTransport a(h.loop, h.map, {spec(1, 1)});
   UdpTransport b(h.loop, h.map, {spec(2, 1)});
 
@@ -92,7 +99,7 @@ TEST(UdpTransportTest, UnicastRoundTripDeliversFrameWithResolvedSource) {
 }
 
 TEST(UdpTransportTest, MulticastFansOutToVlanPeersOnly) {
-  Harness h;
+  Harness h(1);
   UdpTransport a(h.loop, h.map, {spec(1, 1)});
   UdpTransport b(h.loop, h.map, {spec(2, 1)});
   UdpTransport c(h.loop, h.map, {spec(3, 1)});
@@ -118,7 +125,7 @@ TEST(UdpTransportTest, MulticastFansOutToVlanPeersOnly) {
 }
 
 TEST(UdpTransportTest, UnknownDestinationCountsAsSendErrorNotFailure) {
-  Harness h;
+  Harness h(2);
   UdpTransport a(h.loop, h.map, {spec(1, 1)});
   const std::vector<std::uint8_t> one = {0x00};
   // Unreachable receiver: still "sent" from the daemon's point of view.
@@ -128,7 +135,7 @@ TEST(UdpTransportTest, UnknownDestinationCountsAsSendErrorNotFailure) {
 }
 
 TEST(UdpTransportTest, CloseSilencesSendsReceivesAndLoopback) {
-  Harness h;
+  Harness h(3);
   UdpTransport a(h.loop, h.map, {spec(1, 1)});
   UdpTransport b(h.loop, h.map, {spec(2, 1)});
   const std::vector<std::uint8_t> one = {0x00};
@@ -151,7 +158,7 @@ TEST(UdpTransportTest, CorruptFrameIsDroppedAndAccountedByTheDaemon) {
   // End-to-end CRC accounting over real sockets: a daemon receives one good
   // frame and one corrupted frame; the corruption lands in
   // wire_stats().dropped[kBadChecksum] exactly like the sim backend.
-  Harness h;
+  Harness h(4);
   UdpTransport sender(h.loop, h.map, {spec(1, 1)});
   auto receiver = std::make_unique<UdpTransport>(
       h.loop, h.map, std::vector<UdpTransport::PortSpec>{spec(2, 1)});
