@@ -20,9 +20,11 @@
 // Both implementations are driven with the *identical* operation stream and
 // the popped (when) sequence is checksummed; a checksum mismatch means the
 // wheel broke the (when, seq) total order and the bench aborts. Each
-// pattern runs --repeats times and the fastest run counts (standard
-// micro-bench practice: the minimum is the least contaminated by machine
-// noise). The headline ratio (heap ns/op / wheel ns/op) on the re-arm
+// pattern runs --repeats times per implementation, wheel and heap runs
+// interleaved (alternating which goes first) so host drift during the bench
+// lands on both sides alike, and the fastest run of each side counts
+// (standard micro-bench practice: the minimum is the least contaminated by
+// machine noise). The headline ratio (heap ns/op / wheel ns/op) on the re-arm
 // pattern is gated by --min_speedup so a queue regression fails loudly in
 // CI.
 #include <algorithm>
@@ -138,17 +140,36 @@ MicroResult run_push_pop(std::size_t batch, std::size_t rounds) {
   return out;
 }
 
-// Fastest of n runs; checksums must agree across runs (same stream).
-template <typename Fn>
-MicroResult best_of(std::size_t n, Fn run) {
-  MicroResult best = run();
-  for (std::size_t i = 1; i < n; ++i) {
-    const MicroResult r = run();
-    if (r.checksum != best.checksum) {
+struct BestPair {
+  MicroResult wheel;
+  MicroResult heap;
+};
+
+// Fastest of n runs per side, the two sides' runs interleaved and the lead
+// alternated; checksums must agree across each side's runs (same stream).
+template <typename WheelFn, typename HeapFn>
+BestPair best_of_interleaved(std::size_t n, WheelFn run_wheel,
+                             HeapFn run_heap) {
+  BestPair best;
+  auto fold = [](MicroResult& into, const MicroResult& r, bool first) {
+    if (first) {
+      into = r;
+      return;
+    }
+    if (r.checksum != into.checksum) {
       std::fprintf(stderr, "FAIL: nondeterministic pop stream across runs\n");
       std::exit(1);
     }
-    best.ns_per_op = std::min(best.ns_per_op, r.ns_per_op);
+    into.ns_per_op = std::min(into.ns_per_op, r.ns_per_op);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 2 == 0) {
+      fold(best.wheel, run_wheel(), i == 0);
+      fold(best.heap, run_heap(), i == 0);
+    } else {
+      fold(best.heap, run_heap(), false);
+      fold(best.wheel, run_wheel(), false);
+    }
   }
   return best;
 }
@@ -185,24 +206,20 @@ int main(int argc, char** argv) {
               "repeats=%zu\n",
               monitors, fan, ops, rounds, repeats);
 
-  const auto wheel_rearm = best_of(repeats, [&] {
-    return run_rearm<gs::sim::EventQueue>(monitors, ops, fan);
-  });
-  const auto heap_rearm = best_of(repeats, [&] {
-    return run_rearm<gs::sim::HeapEventQueue>(monitors, ops, fan);
-  });
+  const auto [wheel_rearm, heap_rearm] = best_of_interleaved(
+      repeats,
+      [&] { return run_rearm<gs::sim::EventQueue>(monitors, ops, fan); },
+      [&] { return run_rearm<gs::sim::HeapEventQueue>(monitors, ops, fan); });
   if (wheel_rearm.checksum != heap_rearm.checksum) {
     std::fprintf(stderr,
                  "FAIL: wheel and heap popped different (when) sequences on "
                  "the re-arm stream — order regression\n");
     return 1;
   }
-  const auto wheel_pp = best_of(repeats, [&] {
-    return run_push_pop<gs::sim::EventQueue>(monitors, rounds);
-  });
-  const auto heap_pp = best_of(repeats, [&] {
-    return run_push_pop<gs::sim::HeapEventQueue>(monitors, rounds);
-  });
+  const auto [wheel_pp, heap_pp] = best_of_interleaved(
+      repeats,
+      [&] { return run_push_pop<gs::sim::EventQueue>(monitors, rounds); },
+      [&] { return run_push_pop<gs::sim::HeapEventQueue>(monitors, rounds); });
   if (wheel_pp.checksum != heap_pp.checksum) {
     std::fprintf(stderr,
                  "FAIL: wheel and heap popped different (when) sequences on "

@@ -95,7 +95,9 @@ util::AdapterId Farm::new_racked_adapter(util::NodeId node, util::VlanId vlan,
   const util::AdapterId id = fabric_->add_adapter(node);
   if (local) fabric_->attach(id, current_switch_, vlan);
   fabric_->set_adapter_ip(id, ip);
-  planned_vlan_[id] = vlan;
+  GS_CHECK(id.value() == planned_vlan_.size());
+  planned_vlan_.push_back(vlan);
+  adapter_owner_.emplace_back(kNotLocal, 0);
   return id;
 }
 
@@ -134,12 +136,12 @@ void Farm::finish_node(std::size_t index, NodeRole role, util::DomainId domain,
     record.ip = adapter.ip();
     // planned_vlan_, not vlan_of(): identical for wired adapters, and the
     // only VLAN a ghost has — every shard's db carries the same rows.
-    record.expected_vlan = planned_vlan_.at(adapters[i]);
+    record.expected_vlan = planned_vlan_.at(adapters[i].value());
     record.wired_switch = adapter.attached_switch();
     record.wired_port = adapter.attached_port();
     record.admin = i == 0;
     db_.put_adapter(record);
-    if (local) adapter_owner_[adapters[i]] = {index, i};
+    if (local) adapter_owner_.at(adapters[i].value()) = {index, i};
   }
 
   if (eligible && local) {
@@ -563,9 +565,10 @@ void Farm::recover_node(std::size_t node_index) {
 }
 
 proto::AdapterProtocol* Farm::protocol_for(util::AdapterId id) {
-  auto it = adapter_owner_.find(id);
-  if (it == adapter_owner_.end()) return nullptr;
-  return &daemons_[it->second.first]->protocol(it->second.second);
+  if (id.value() >= adapter_owner_.size()) return nullptr;
+  const auto [node, index] = adapter_owner_[id.value()];
+  if (node == kNotLocal) return nullptr;
+  return &daemons_[node]->protocol(index);
 }
 
 std::vector<util::VlanId> Farm::vlans() const {
@@ -609,9 +612,10 @@ std::optional<std::size_t> Farm::expected_gsc_node() const {
 }
 
 std::optional<std::size_t> Farm::node_of(util::AdapterId id) const {
-  auto it = adapter_owner_.find(id);
-  if (it == adapter_owner_.end()) return std::nullopt;
-  return it->second.first;
+  if (id.value() >= adapter_owner_.size()) return std::nullopt;
+  const std::size_t node = adapter_owner_[id.value()].first;
+  if (node == kNotLocal) return std::nullopt;
+  return node;
 }
 
 bool Farm::converged(util::VlanId vlan) {

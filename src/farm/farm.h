@@ -11,7 +11,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "config/configdb.h"
@@ -222,11 +221,14 @@ class Farm {
   std::vector<std::unique_ptr<proto::RootCentral>> root_centrals_;
   std::vector<std::unique_ptr<proto::DomainUplink>> uplinks_;
   std::vector<obs::Subscription> central_taps_;  // Central -> farm event bus
-  std::unordered_map<util::AdapterId, std::pair<std::size_t, std::size_t>>
-      adapter_owner_;  // adapter -> (node index, adapter index); local only
-  // The VLAN each adapter was built for — for ghosts, whose vlan_of() is
-  // invalid (they are never wired), this is the db's expected_vlan source.
-  std::unordered_map<util::AdapterId, util::VlanId> planned_vlan_;
+  // Dense by AdapterId (the fabric numbers adapters 0, 1, ... as they are
+  // built). adapter_owner_: (node index, adapter index), or kNotLocal for a
+  // ghost. planned_vlan_: the VLAN each adapter was built for — for ghosts,
+  // whose vlan_of() is invalid (they are never wired), this is the db's
+  // expected_vlan source.
+  static constexpr std::size_t kNotLocal = static_cast<std::size_t>(-1);
+  std::vector<std::pair<std::size_t, std::size_t>> adapter_owner_;
+  std::vector<util::VlanId> planned_vlan_;
 
   util::SwitchId current_switch_;
 };

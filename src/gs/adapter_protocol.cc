@@ -1049,11 +1049,13 @@ HandleResult AdapterProtocol::handle_frame(util::IpAddress src, MsgType type,
       if (msg == nullptr) return HandleResult::kDecodeError;
       bump_clock(msg->view);
       maybe_implicit_commit(msg->view);
-      if (is_committed() && committed_.contains(src)) {
-        if (fd_) fd_->on_heartbeat(src, *msg);
-        return HandleResult::kHandled;
-      }
-      if (is_committed() && msg->view <= committed_.view()) {
+      if (!is_committed()) return HandleResult::kHandled;
+      // The detector answers first: it runs on committed_ (start_fd), so a
+      // heartbeat it takes is from a member, and the steady state skips the
+      // membership search. Only refused heartbeats pay for contains().
+      if (fd_ && fd_->on_heartbeat(src, *msg)) return HandleResult::kHandled;
+      if (committed_.contains(src)) return HandleResult::kHandled;
+      if (msg->view <= committed_.view()) {
         // A stale ex-member is still heartbeating us: tell it to rejoin.
         // Equality counts as stale too — view numbers of *different* group
         // incarnations are not ordered, and a restarted neighbor's new group

@@ -70,7 +70,10 @@ class FailureDetector {
   virtual void start(const MembershipView& view) = 0;
   virtual void stop() = 0;
 
-  virtual void on_heartbeat(util::IpAddress from, const Heartbeat& hb) = 0;
+  // Returns whether the heartbeat was taken: `from` is monitored and `hb`
+  // carries the monitored view. Every monitored peer is a member of that
+  // view, so a caller can skip its own membership check on true.
+  virtual bool on_heartbeat(util::IpAddress from, const Heartbeat& hb) = 0;
   virtual void on_ping_ack(util::IpAddress from, const PingAck& ack) {
     (void)from;
     (void)ack;

@@ -29,7 +29,7 @@ void HeartbeatFd::stop_all() {
   running_ = false;
   send_timer_.cancel();
   poll_timer_.cancel();
-  for (auto& [peer, timer] : deadlines_) timer.cancel();
+  for (sim::Timer& timer : deadlines_) timer.cancel();
   deadlines_.clear();
   targets_.clear();
   monitored_.clear();
@@ -37,13 +37,13 @@ void HeartbeatFd::stop_all() {
   poll_chunk_by_seq_.clear();
 }
 
-void HeartbeatFd::compute_peers() {
+void HeartbeatFd::compute_peers(const MembershipView& view) {
   targets_.clear();
   monitored_.clear();
   chunks_.clear();
-  const std::size_t n = view_.size();
+  const std::size_t n = view.size();
   if (n < 2) return;
-  const auto rank_opt = view_.rank_of(ctx_.self);
+  const auto rank_opt = view.rank_of(ctx_.self);
   GS_CHECK(rank_opt.has_value());
   const std::size_t rank = *rank_opt;
 
@@ -54,17 +54,17 @@ void HeartbeatFd::compute_peers() {
   switch (kind_) {
     case FdKind::kUnidirectionalRing:
       // Heartbeat the right neighbor, monitor the left (§3's base scheme).
-      add_unique(targets_, view_.right_of(ctx_.self));
-      add_unique(monitored_, view_.left_of(ctx_.self));
+      add_unique(targets_, view.right_of(ctx_.self));
+      add_unique(monitored_, view.left_of(ctx_.self));
       break;
     case FdKind::kBidirectionalRing:
-      add_unique(targets_, view_.right_of(ctx_.self));
-      add_unique(targets_, view_.left_of(ctx_.self));
-      add_unique(monitored_, view_.left_of(ctx_.self));
-      add_unique(monitored_, view_.right_of(ctx_.self));
+      add_unique(targets_, view.right_of(ctx_.self));
+      add_unique(targets_, view.left_of(ctx_.self));
+      add_unique(monitored_, view.left_of(ctx_.self));
+      add_unique(monitored_, view.right_of(ctx_.self));
       break;
     case FdKind::kAllToAll:
-      for (const MemberInfo& m : view_.members()) {
+      for (const MemberInfo& m : view.members()) {
         if (m.ip == ctx_.self) continue;
         targets_.push_back(m.ip);
         monitored_.push_back(m.ip);
@@ -74,7 +74,7 @@ void HeartbeatFd::compute_peers() {
       const auto sub = subgroup_of(
           rank, n, static_cast<std::size_t>(ctx_.params->subgroup_size));
       for (std::size_t r : sub) {
-        const util::IpAddress ip = view_.member_at(r).ip;
+        const util::IpAddress ip = view.member_at(r).ip;
         if (ip == ctx_.self) continue;
         add_unique(targets_, ip);
         add_unique(monitored_, ip);
@@ -87,7 +87,7 @@ void HeartbeatFd::compute_peers() {
           if (begin == 0) continue;  // own subgroup is covered by heartbeats
           ChunkState chunk;
           for (std::size_t r = begin; r < std::min(begin + s, n); ++r)
-            chunk.members.push_back(view_.member_at(r).ip);
+            chunk.members.push_back(view.member_at(r).ip);
           chunks_.push_back(std::move(chunk));
         }
       }
@@ -100,9 +100,9 @@ void HeartbeatFd::compute_peers() {
 
 void HeartbeatFd::start(const MembershipView& view) {
   stop_all();
-  view_ = view;
+  view_ = view.view();
   running_ = true;
-  compute_peers();
+  compute_peers(view);
   if (targets_.empty() && monitored_.empty() && chunks_.empty()) return;
 
   // Stagger the first heartbeat so group members do not synchronize.
@@ -112,8 +112,9 @@ void HeartbeatFd::start(const MembershipView& view) {
           static_cast<std::uint64_t>(std::max<sim::SimDuration>(1, period)))),
       [this] { send_heartbeats(); });
 
-  for (util::IpAddress peer : monitored_)
-    arm_monitor(peer, /*after_suspicion=*/false);
+  deadlines_.resize(monitored_.size());
+  for (std::size_t i = 0; i < monitored_.size(); ++i)
+    arm_monitor(i, /*after_suspicion=*/false);
 
   if (!chunks_.empty()) {
     poll_timer_ = ctx_.sim->after(ctx_.params->subgroup_poll_period,
@@ -124,54 +125,58 @@ void HeartbeatFd::start(const MembershipView& view) {
 void HeartbeatFd::send_heartbeats() {
   if (!running_) return;
   ++hb_seq_;
-  for (util::IpAddress peer : targets_) {
+  if (!targets_.empty()) {
+    // Every target gets the same bytes, so one immutable frame serves them
+    // all: one encode per tick, and receivers share its verify/decode cache.
     Heartbeat hb{};
-    hb.view = view_.view();
+    hb.view = view_;
     hb.seq = hb_seq_;
-    ctx_.send(peer, ctx_.framed(hb));
+    const net::Payload frame = ctx_.framed(hb);
+    for (util::IpAddress peer : targets_) ctx_.send(peer, frame);
   }
   send_timer_ = ctx_.sim->after(ctx_.params->hb_period,
                                 [this] { send_heartbeats(); });
 }
 
-void HeartbeatFd::arm_monitor(util::IpAddress peer, bool after_suspicion) {
+void HeartbeatFd::arm_monitor(std::size_t index, bool after_suspicion) {
   const auto period = ctx_.params->hb_period;
   const sim::SimDuration deadline =
       after_suspicion
           ? ctx_.params->resuspect_hold
           : period * ctx_.params->hb_sensitivity + period / 2;
-  sim::Timer& timer = deadlines_[peer];
+  sim::Timer& timer = deadlines_[index];
   // Fast path for the steady state (every heartbeat arrival lands here):
   // the pending deadline moves in place — the backend keeps the callback,
   // so the cycle is allocation-free. Falls back to a fresh arm on first
   // use and when re-arming from monitor_expired (the timer just fired).
   if (timer.rearm_after(deadline)) return;
-  timer = ctx_.sim->after(deadline, [this, peer] { monitor_expired(peer); });
+  timer = ctx_.sim->after(deadline, [this, index] { monitor_expired(index); });
 }
 
-void HeartbeatFd::monitor_expired(util::IpAddress peer) {
+void HeartbeatFd::monitor_expired(std::size_t index) {
   if (!running_) return;
+  const util::IpAddress peer = monitored_[index];
   // Before blaming the neighbor, make sure we can still hear at all (§3:
   // "first performing a loopback test on its own adapter").
   if (ctx_.params->fd_loopback_test && ctx_.loopback_ok && !ctx_.loopback_ok()) {
     GS_LOG(kDebug, "fd") << ctx_.self << " loopback failed; not blaming "
                          << peer;
-    arm_monitor(peer, /*after_suspicion=*/false);
+    arm_monitor(index, /*after_suspicion=*/false);
     return;
   }
   obs::emit_trace(ctx_.params->trace, obs::TraceKind::kHeartbeatMiss,
                   ctx_.sim->now(), ctx_.self, peer);
   ctx_.suspect(peer);
-  arm_monitor(peer, /*after_suspicion=*/true);
+  arm_monitor(index, /*after_suspicion=*/true);
 }
 
-void HeartbeatFd::on_heartbeat(util::IpAddress from, const Heartbeat& hb) {
-  if (!running_) return;
-  if (hb.view != view_.view()) return;  // stale traffic handled upstream
-  if (std::find(monitored_.begin(), monitored_.end(), from) ==
-      monitored_.end())
-    return;
-  arm_monitor(from, /*after_suspicion=*/false);
+bool HeartbeatFd::on_heartbeat(util::IpAddress from, const Heartbeat& hb) {
+  if (!running_ || hb.view != view_) return false;  // the caller judges it
+  const auto it = std::find(monitored_.begin(), monitored_.end(), from);
+  if (it == monitored_.end()) return false;
+  arm_monitor(static_cast<std::size_t>(it - monitored_.begin()),
+              /*after_suspicion=*/false);
+  return true;
 }
 
 void HeartbeatFd::send_polls() {

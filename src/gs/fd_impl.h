@@ -21,7 +21,7 @@ class HeartbeatFd final : public FailureDetector {
   void start(const MembershipView& view) override;
   void stop() override { stop_all(); }
 
-  void on_heartbeat(util::IpAddress from, const Heartbeat& hb) override;
+  bool on_heartbeat(util::IpAddress from, const Heartbeat& hb) override;
   void on_subgroup_poll_ack(util::IpAddress from,
                             const SubgroupPollAck& ack) override;
 
@@ -39,10 +39,11 @@ class HeartbeatFd final : public FailureDetector {
 
  private:
   void stop_all();
-  void compute_peers();
+  void compute_peers(const MembershipView& view);
   void send_heartbeats();
-  void arm_monitor(util::IpAddress peer, bool after_suspicion);
-  void monitor_expired(util::IpAddress peer);
+  // `index` names a peer by its position in monitored_.
+  void arm_monitor(std::size_t index, bool after_suspicion);
+  void monitor_expired(std::size_t index);
 
   // Leader-side subgroup polling.
   void send_polls();
@@ -55,12 +56,14 @@ class HeartbeatFd final : public FailureDetector {
 
   FdKind kind_;
   FdContext ctx_;
-  MembershipView view_;
+  // The monitored view's number: peers are derived once in start(), so the
+  // member list itself is not kept.
+  std::uint64_t view_ = 0;
   bool running_ = false;
 
   std::vector<util::IpAddress> targets_;   // peers we heartbeat
   std::vector<util::IpAddress> monitored_; // peers we expect heartbeats from
-  std::map<util::IpAddress, sim::Timer> deadlines_;
+  std::vector<sim::Timer> deadlines_;      // parallel to monitored_
   std::uint64_t hb_seq_ = 0;
   sim::Timer send_timer_;
 
@@ -82,7 +85,9 @@ class RandPingFd final : public FailureDetector {
   void start(const MembershipView& view) override;
   void stop() override;
 
-  void on_heartbeat(util::IpAddress, const Heartbeat&) override {}
+  bool on_heartbeat(util::IpAddress, const Heartbeat&) override {
+    return false;
+  }
   void on_ping_ack(util::IpAddress from, const PingAck& ack) override;
   void on_ping_req(util::IpAddress from, const PingReq& req) override;
 

@@ -31,6 +31,7 @@ util::AdapterId Fabric::add_adapter(util::NodeId node) {
   const util::AdapterId id(static_cast<std::uint32_t>(adapters_.size()));
   const util::MacAddress mac(0x02'00'00'00'00'00ull + id.value());
   adapters_.push_back(std::make_unique<Adapter>(id, node, mac));
+  vlan_of_.push_back(util::VlanId::invalid());
   return id;
 }
 
@@ -40,6 +41,7 @@ void Fabric::attach(util::AdapterId adapter_id, util::SwitchId sw,
   Switch& s = nic_switch(sw);
   s.connect(port, adapter_id, vlan);
   a.attach(sw, port);
+  refresh_vlan_of(adapter_id);
   index_add(vlan, adapter_id);
   (void)segment(vlan);  // materialize the segment with the default model
 }
@@ -104,12 +106,14 @@ std::vector<util::AdapterId> Fabric::node_adapters(util::NodeId node) const {
   return out;
 }
 
-util::VlanId Fabric::vlan_of(util::AdapterId id) const {
+void Fabric::refresh_vlan_of(util::AdapterId id) {
   const Adapter& a = adapter(id);
-  if (!a.attached_switch().valid()) return util::VlanId::invalid();
-  const Switch& s = nic_switch(a.attached_switch());
-  if (s.failed()) return util::VlanId::invalid();
-  return s.port_vlan(a.attached_port());
+  util::VlanId vlan = util::VlanId::invalid();
+  if (a.attached_switch().valid()) {
+    const Switch& s = nic_switch(a.attached_switch());
+    if (!s.failed()) vlan = s.port_vlan(a.attached_port());
+  }
+  vlan_of_[id.value()] = vlan;
 }
 
 std::vector<util::AdapterId> Fabric::adapters_in_vlan(
@@ -163,6 +167,40 @@ bool Fabric::vlan_index_consistent() const {
   return true;
 }
 
+bool Fabric::resolution_consistent() const {
+  // VLANs from the switch ports: a wired port on a live switch carries its
+  // adapter onto the port's VLAN; every other adapter has none.
+  std::vector<util::VlanId> vlans(adapters_.size(), util::VlanId::invalid());
+  for (const auto& s : switches_) {
+    if (s->failed()) continue;
+    for (std::size_t p = 0; p < s->port_count(); ++p) {
+      const util::PortId port(static_cast<std::uint32_t>(p));
+      const util::AdapterId a = s->port_adapter(port);
+      if (a.valid()) vlans[a.value()] = s->port_vlan(port);
+    }
+  }
+  if (vlans != vlan_of_) return false;
+
+  // IP holders from the adapters, against the table's pairs; each pair must
+  // also sit in the probe run that starts at its IP's home slot.
+  std::vector<std::pair<std::uint32_t, util::AdapterId>> truth;
+  for (const auto& a : adapters_)
+    if (!a->ip().is_unspecified()) truth.emplace_back(a->ip().bits(), a->id());
+  std::vector<std::pair<std::uint32_t, util::AdapterId>> held;
+  const std::size_t mask = ip_slots_.size() - 1;
+  for (std::size_t i = 0; i < ip_slots_.size(); ++i) {
+    const IpSlot& slot = ip_slots_[i];
+    if (slot.ip == 0) continue;
+    for (std::size_t j = ip_home(slot.ip); j != i; j = (j + 1) & mask)
+      if (ip_slots_[j].ip == 0) return false;
+    held.emplace_back(slot.ip, slot.adapter);
+  }
+  std::sort(truth.begin(), truth.end());
+  std::sort(held.begin(), held.end());
+  return truth == held && held.size() == ip_count_ &&
+         2 * ip_count_ <= ip_slots_.size();
+}
+
 void Fabric::index_add(util::VlanId vlan, util::AdapterId id) {
   auto& members = vlan_index_[vlan];
   auto it = std::lower_bound(members.begin(), members.end(), id);
@@ -195,24 +233,62 @@ bool Fabric::reachable(util::AdapterId from, util::AdapterId to) const {
 void Fabric::set_adapter_ip(util::AdapterId id, util::IpAddress ip) {
   Adapter& a = adapter(id);
   if (a.ip() == ip) return;
-  if (!a.ip().is_unspecified()) {
-    auto& holders = by_ip_[a.ip().bits()];
-    std::erase(holders, id);
-    if (holders.empty()) by_ip_.erase(a.ip().bits());
-  }
+  if (!a.ip().is_unspecified()) ip_erase(a.ip().bits(), id);
   a.set_ip(ip);
-  if (!ip.is_unspecified()) by_ip_[ip.bits()].push_back(id);
+  if (!ip.is_unspecified()) ip_insert(ip.bits(), id);
+}
+
+void Fabric::ip_insert(std::uint32_t bits, util::AdapterId id) {
+  if (2 * (ip_count_ + 1) > ip_slots_.size()) {
+    // Double and re-place every pair; probe runs only ever shrink.
+    std::vector<IpSlot> old(2 * ip_slots_.size());
+    old.swap(ip_slots_);
+    --ip_shift_;
+    ip_count_ = 0;
+    for (const IpSlot& slot : old)
+      if (slot.ip != 0) ip_insert(slot.ip, slot.adapter);
+  }
+  const std::size_t mask = ip_slots_.size() - 1;
+  std::size_t i = ip_home(bits);
+  while (ip_slots_[i].ip != 0) i = (i + 1) & mask;
+  ip_slots_[i] = IpSlot{bits, id};
+  ++ip_count_;
+}
+
+void Fabric::ip_erase(std::uint32_t bits, util::AdapterId id) {
+  const std::size_t mask = ip_slots_.size() - 1;
+  std::size_t hole = ip_home(bits);
+  while (ip_slots_[hole].ip != bits || ip_slots_[hole].adapter != id) {
+    GS_CHECK_MSG(ip_slots_[hole].ip != 0, "ip holder not indexed");
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: pull later entries of the run into the hole
+  // whenever the hole lies between their home slot and where they sit.
+  for (std::size_t j = (hole + 1) & mask; ip_slots_[j].ip != 0;
+       j = (j + 1) & mask) {
+    const std::size_t home = ip_home(ip_slots_[j].ip);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      ip_slots_[hole] = ip_slots_[j];
+      hole = j;
+    }
+  }
+  ip_slots_[hole] = IpSlot{};
+  --ip_count_;
 }
 
 std::optional<util::AdapterId> Fabric::find_by_ip(util::VlanId vlan,
                                                   util::IpAddress ip) const {
-  auto it = by_ip_.find(ip.bits());
-  if (it == by_ip_.end()) return std::nullopt;
   // Deterministic winner among duplicate holders: lowest AdapterId on the
   // VLAN, independent of the order IPs were assigned in.
   std::optional<util::AdapterId> best;
-  for (util::AdapterId id : it->second)
-    if (vlan_of(id) == vlan && (!best || id < *best)) best = id;
+  const std::size_t mask = ip_slots_.size() - 1;
+  for (std::size_t i = ip_home(ip.bits()); ip_slots_[i].ip != 0;
+       i = (i + 1) & mask) {
+    const IpSlot& slot = ip_slots_[i];
+    if (slot.ip == ip.bits() && vlan_of_[slot.adapter.value()] == vlan &&
+        (!best || slot.adapter < *best))
+      best = slot.adapter;
+  }
   return best;
 }
 
@@ -581,10 +657,18 @@ void Fabric::recover_node(util::NodeId node) {
     set_adapter_health(id, HealthState::kUp);
 }
 
-void Fabric::fail_switch(util::SwitchId id) { nic_switch(id).set_failed(true); }
+void Fabric::fail_switch(util::SwitchId id) { set_switch_failed(id, true); }
 
-void Fabric::recover_switch(util::SwitchId id) {
-  nic_switch(id).set_failed(false);
+void Fabric::recover_switch(util::SwitchId id) { set_switch_failed(id, false); }
+
+void Fabric::set_switch_failed(util::SwitchId id, bool failed) {
+  Switch& s = nic_switch(id);
+  s.set_failed(failed);
+  for (std::size_t p = 0; p < s.port_count(); ++p) {
+    const util::AdapterId wired =
+        s.port_adapter(util::PortId(static_cast<std::uint32_t>(p)));
+    if (wired.valid()) refresh_vlan_of(wired);
+  }
 }
 
 void Fabric::partition_vlan(
@@ -600,9 +684,12 @@ void Fabric::set_port_vlan(util::SwitchId sw, util::PortId port,
   const util::VlanId old_vlan = s.port_vlan(port);
   s.set_port_vlan(port, vlan);
   const util::AdapterId wired = s.port_adapter(port);
-  if (wired.valid() && old_vlan != vlan) {
-    index_remove(old_vlan, wired);
-    index_add(vlan, wired);
+  if (wired.valid()) {
+    refresh_vlan_of(wired);
+    if (old_vlan != vlan) {
+      index_remove(old_vlan, wired);
+      index_add(vlan, wired);
+    }
   }
   (void)segment(vlan);  // ensure the segment exists
 }

@@ -19,7 +19,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "net/adapter.h"
@@ -28,6 +27,7 @@
 #include "net/segment.h"
 #include "obs/fwd.h"
 #include "sim/simulator.h"
+#include "util/check.h"
 #include "util/ids.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -95,8 +95,12 @@ class Fabric {
       util::NodeId node) const;
 
   // The VLAN an adapter currently lives on; invalid if its switch is dead or
-  // it is unwired.
-  [[nodiscard]] util::VlanId vlan_of(util::AdapterId id) const;
+  // it is unwired. One array read: the value is maintained eagerly by every
+  // wiring and switch-liveness mutation.
+  [[nodiscard]] util::VlanId vlan_of(util::AdapterId id) const {
+    GS_CHECK(id.value() < vlan_of_.size());
+    return vlan_of_[id.value()];
+  }
 
   // Ground truth for tests/verification: adapters wired into `vlan` through
   // a live switch (health ignored — wiring, not liveness).
@@ -119,6 +123,11 @@ class Fabric {
   // incremental index; tests call this after topology churn.
   [[nodiscard]] bool vlan_index_consistent() const;
 
+  // The same check for the unicast resolution tables: recomputes every
+  // adapter's VLAN from the switch ports and every IP holder from the
+  // adapters, and compares them with vlan_of() and the IP table.
+  [[nodiscard]] bool resolution_consistent() const;
+
   // Could a frame from `from` reach `to` right now (wiring, partitions,
   // health all considered)?
   [[nodiscard]] bool reachable(util::AdapterId from, util::AdapterId to) const;
@@ -126,7 +135,7 @@ class Fabric {
   // Resolves an IP on a VLAN. Duplicate IPs are a misconfiguration the
   // verifier must be able to express; the winner is deterministic — the
   // lowest AdapterId holding the address on that VLAN — so misconfigured
-  // soak schedules replay identically.
+  // soak schedules replay identically. O(1): one probe run of the IP table.
   [[nodiscard]] std::optional<util::AdapterId> find_by_ip(
       util::VlanId vlan, util::IpAddress ip) const;
 
@@ -250,6 +259,18 @@ class Fabric {
   void sample_loads();
   void index_add(util::VlanId vlan, util::AdapterId id);
   void index_remove(util::VlanId vlan, util::AdapterId id);
+  // Recomputes vlan_of_[id] from the adapter's port and its switch's
+  // liveness; every mutation of either calls it.
+  void refresh_vlan_of(util::AdapterId id);
+  void set_switch_failed(util::SwitchId id, bool failed);
+  [[nodiscard]] std::size_t ip_home(std::uint32_t bits) const {
+    // Fibonacci hashing: host numbers are dense, so spread them by the
+    // product's high bits.
+    return static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ull) >>
+                                    ip_shift_);
+  }
+  void ip_insert(std::uint32_t bits, util::AdapterId id);
+  void ip_erase(std::uint32_t bits, util::AdapterId id);
 
   sim::Simulator& sim_;
   util::Rng rng_;
@@ -257,10 +278,24 @@ class Fabric {
 
   std::vector<std::unique_ptr<Adapter>> adapters_;
   std::vector<std::unique_ptr<Switch>> switches_;
-  // ip bits -> adapters currently holding that ip (normally exactly one;
-  // duplicates are representable because misconfiguration is a scenario
-  // the verifier must be able to express).
-  std::unordered_map<std::uint32_t, std::vector<util::AdapterId>> by_ip_;
+  // Dense by AdapterId: the VLAN each adapter's live port carries (see
+  // vlan_of()). Kept eagerly, never rebuilt on read: ShardedFarm's main
+  // thread reads shard fabrics between barriers through const accessors.
+  std::vector<util::VlanId> vlan_of_;
+  // Which adapters hold which IP: a linear-probing table of {ip, adapter}
+  // pairs, one per addressed adapter. A duplicate IP (a misconfiguration
+  // the verifier must be able to express) is one more pair in the same
+  // probe run, so a lookup walks the run to its first empty slot. IP 0
+  // (unspecified, never stored) marks an empty slot; the size is a power of
+  // two at most half full, and erase shifts entries back, so runs stay short
+  // and there are no tombstones.
+  struct IpSlot {
+    std::uint32_t ip = 0;
+    util::AdapterId adapter;
+  };
+  std::vector<IpSlot> ip_slots_ = std::vector<IpSlot>(16);
+  unsigned ip_shift_ = 60;  // 64 - log2(ip_slots_.size())
+  std::size_t ip_count_ = 0;
   std::map<util::VlanId, Segment> segments_;
   // vlan -> adapters wired into it (port configuration, not liveness),
   // each vector kept sorted by id so multicast delivery order matches the

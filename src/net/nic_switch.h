@@ -15,6 +15,8 @@
 
 namespace gs::net {
 
+class Fabric;
+
 class Switch {
  public:
   Switch(util::SwitchId id, std::size_t port_count)
@@ -24,20 +26,6 @@ class Switch {
   [[nodiscard]] std::size_t port_count() const { return ports_.size(); }
 
   [[nodiscard]] bool failed() const { return failed_; }
-  void set_failed(bool failed) { failed_ = failed; }
-
-  void connect(util::PortId port, util::AdapterId adapter, util::VlanId vlan) {
-    Port& p = port_ref(port);
-    GS_CHECK_MSG(!p.adapter.valid(), "port already wired");
-    p.adapter = adapter;
-    p.vlan = vlan;
-  }
-
-  void disconnect(util::PortId port) { port_ref(port) = Port{}; }
-
-  void set_port_vlan(util::PortId port, util::VlanId vlan) {
-    port_ref(port).vlan = vlan;
-  }
 
   [[nodiscard]] util::VlanId port_vlan(util::PortId port) const {
     return port_ref(port).vlan;
@@ -62,6 +50,22 @@ class Switch {
   }
 
  private:
+  // Wiring and liveness change only through Fabric, which keeps its VLAN
+  // index and unicast resolution tables in step with every change.
+  friend class Fabric;
+  void set_failed(bool failed) { failed_ = failed; }
+
+  void connect(util::PortId port, util::AdapterId adapter, util::VlanId vlan) {
+    Port& p = port_ref(port);
+    GS_CHECK_MSG(!p.adapter.valid(), "port already wired");
+    p.adapter = adapter;
+    p.vlan = vlan;
+  }
+
+  void set_port_vlan(util::PortId port, util::VlanId vlan) {
+    port_ref(port).vlan = vlan;
+  }
+
   struct Port {
     util::AdapterId adapter;
     util::VlanId vlan;

@@ -10,6 +10,7 @@
 // unaffected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "farm/farm.h"
@@ -488,8 +490,10 @@ class HeapClock final : public sim::TimeSource {
   sim::SimTime now_ = 0;
 };
 
-// A one-port Transport that drops whatever the daemon sends and lets the
-// test play the network through the daemon's installed receive handler.
+// A one-port Transport that lets the test play the network through the
+// daemon's installed receive handler. Unicasts are dropped, except that the
+// heartbeats among them are held (capacity reserved up front) until the
+// test reads them off with take_heartbeats().
 class ScriptedTransport final : public net::Transport {
  public:
   static constexpr util::IpAddress kSelf{10, 0, 0, 5};
@@ -501,7 +505,11 @@ class ScriptedTransport final : public net::Transport {
   [[nodiscard]] util::MacAddress local_mac(std::size_t) const override {
     return util::MacAddress(5);
   }
-  bool unicast(std::size_t, util::IpAddress, net::Payload) override {
+  bool unicast(std::size_t, util::IpAddress, net::Payload frame) override {
+    if (frame.verified().type ==
+            static_cast<std::uint16_t>(proto::MsgType::kHeartbeat) &&
+        heartbeats_.size() < heartbeats_.capacity())
+      heartbeats_.push_back(std::move(frame));
     return true;
   }
   bool multicast(std::size_t, util::IpAddress, net::Payload) override {
@@ -526,9 +534,28 @@ class ScriptedTransport final : public net::Transport {
     handler_(dgram);
   }
 
+  // The heartbeats sent since the last call, as {sent, distinct frames}.
+  std::pair<std::size_t, std::size_t> take_heartbeats() {
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < heartbeats_.size(); ++i) {
+      bool seen = false;
+      for (std::size_t j = 0; j < i; ++j)
+        seen = seen || heartbeats_[j].identity() == heartbeats_[i].identity();
+      if (!seen) ++distinct;
+    }
+    const std::size_t sent = heartbeats_.size();
+    heartbeats_.clear();
+    return {sent, distinct};
+  }
+
  private:
   ReceiveHandler handler_;
   wire::Writer scratch_;
+  std::vector<net::Payload> heartbeats_ = [] {
+    std::vector<net::Payload> v;
+    v.reserve(64);
+    return v;
+  }();
 };
 
 proto::MemberInfo host_info(std::uint8_t host) {
@@ -627,6 +654,48 @@ TEST_F(ReceivePathAllocations, MonitoredPeerHeartbeatWhenCommitted) {
   EXPECT_TRUE(daemon_->protocol(0).is_committed());
   EXPECT_EQ(decoded(proto::MsgType::kHeartbeat), 2u * kRounds);
   EXPECT_EQ(allocs, 0u) << "heartbeat reception allocated on the heap";
+}
+
+TEST_F(ReceivePathAllocations, HeartbeatSendTickSharesOneFrameAcrossTargets) {
+  // All-to-all over eight members: every tick heartbeats seven targets.
+  params_.fd_kind = proto::FdKind::kAllToAll;
+  const util::IpAddress leader(10, 0, 0, 9);
+  proto::Commit commit{};
+  commit.view = 7;
+  for (std::uint8_t host = 2; host <= 9; ++host)
+    commit.members.push_back(host_info(host));
+  transport_.receive(leader, commit, /*multicast=*/false);
+  sim_.run_until(sim_.now() + sim::milliseconds(100));
+  ASSERT_TRUE(daemon_->protocol(0).is_committed());
+  ASSERT_EQ(daemon_->protocol(0).committed().size(), 8u);
+
+  // Peers heartbeat too, so no deadline lapses into suspicion traffic; each
+  // round spans one send period, so it holds exactly one send tick.
+  (void)transport_.take_heartbeats();  // a tick may precede the first round
+  std::uint64_t seq = 0;
+  std::size_t worst_distinct = 0;
+  std::size_t sent = 0;
+  auto round = [&] {
+    ++seq;
+    for (std::uint8_t host = 2; host <= 9; ++host) {
+      if (host == 5) continue;
+      proto::Heartbeat hb{};
+      hb.view = 7;
+      hb.seq = seq;
+      transport_.receive(util::IpAddress(10, 0, 0, host), hb,
+                         /*multicast=*/false);
+    }
+    sim_.run_until(sim_.now() + params_.hb_period);
+    const auto [tick_sent, distinct] = transport_.take_heartbeats();
+    sent += tick_sent;
+    worst_distinct = std::max(worst_distinct, distinct);
+  };
+  const std::uint64_t allocs = measured_allocations(round);
+  EXPECT_TRUE(daemon_->protocol(0).is_committed());
+  EXPECT_EQ(sent, 2u * kRounds * 7u);
+  EXPECT_EQ(worst_distinct, 1u)
+      << "a send tick encoded more than one frame for its targets";
+  EXPECT_EQ(allocs, 0u) << "a heartbeat send tick allocated on the heap";
 }
 
 }  // namespace

@@ -143,12 +143,34 @@ TEST_F(FabricTest, MidFlightFailureDropsFrame) {
 TEST_F(FabricTest, SwitchFailureDisconnectsVlan) {
   auto a = make(util::NodeId(0), util::VlanId(1), util::IpAddress(10, 0, 0, 1));
   auto b = make(util::NodeId(1), util::VlanId(1), util::IpAddress(10, 0, 0, 2));
+  const util::SwitchId sw2 = fabric_.add_switch(4);
+  const util::AdapterId c = fabric_.add_adapter(util::NodeId(2));
+  fabric_.attach(c, sw2, util::VlanId(1));
+  fabric_.set_adapter_ip(c, util::IpAddress(10, 0, 0, 3));
   fabric_.fail_switch(sw_);
   EXPECT_FALSE(fabric_.vlan_of(a).valid());
+  EXPECT_FALSE(
+      fabric_.find_by_ip(util::VlanId(1), util::IpAddress(10, 0, 0, 2)));
+  EXPECT_EQ(fabric_.vlan_of(c), util::VlanId(1));  // other switch unaffected
+  EXPECT_TRUE(fabric_.resolution_consistent());
   EXPECT_FALSE(fabric_.reachable(a, b));
   EXPECT_FALSE(fabric_.send(a, util::IpAddress(10, 0, 0, 2), test_frame()));
   fabric_.recover_switch(sw_);
   EXPECT_TRUE(fabric_.reachable(a, b));
+  EXPECT_EQ(fabric_.find_by_ip(util::VlanId(1), util::IpAddress(10, 0, 0, 2)),
+            b);
+  EXPECT_TRUE(fabric_.resolution_consistent());
+
+  // A port moved while its switch is down resurfaces on the new VLAN.
+  fabric_.fail_switch(sw2);
+  fabric_.set_port_vlan(sw2, fabric_.adapter(c).attached_port(),
+                        util::VlanId(3));
+  EXPECT_FALSE(fabric_.vlan_of(c).valid());
+  fabric_.recover_switch(sw2);
+  EXPECT_EQ(fabric_.vlan_of(c), util::VlanId(3));
+  EXPECT_EQ(fabric_.find_by_ip(util::VlanId(3), util::IpAddress(10, 0, 0, 3)),
+            c);
+  EXPECT_TRUE(fabric_.resolution_consistent());
 }
 
 TEST_F(FabricTest, PartitionBlocksAcrossHealRestores) {
@@ -175,6 +197,12 @@ TEST_F(FabricTest, VlanMoveRehomesAdapter) {
   fabric_.set_port_vlan(adapter.attached_switch(), adapter.attached_port(),
                         util::VlanId(7));
   EXPECT_EQ(fabric_.vlan_of(a), util::VlanId(7));
+  // Unicast resolution follows the move.
+  EXPECT_FALSE(
+      fabric_.find_by_ip(util::VlanId(1), util::IpAddress(10, 0, 0, 1)));
+  EXPECT_EQ(fabric_.find_by_ip(util::VlanId(7), util::IpAddress(10, 0, 0, 1)),
+            a);
+  EXPECT_TRUE(fabric_.resolution_consistent());
   auto in7 = fabric_.adapters_in_vlan(util::VlanId(7));
   ASSERT_EQ(in7.size(), 1u);
   EXPECT_EQ(in7[0], a);
@@ -202,13 +230,26 @@ TEST_F(FabricTest, LossySegmentDropsFraction) {
 TEST_F(FabricTest, IpReassignmentUpdatesLookup) {
   auto a = make(util::NodeId(0), util::VlanId(1), util::IpAddress(10, 0, 0, 1));
   auto b = make(util::NodeId(1), util::VlanId(1), util::IpAddress(10, 0, 0, 2));
-  (void)b;
   fabric_.set_adapter_ip(a, util::IpAddress(10, 0, 0, 9));
   EXPECT_FALSE(
       fabric_.find_by_ip(util::VlanId(1), util::IpAddress(10, 0, 0, 1)));
   auto found = fabric_.find_by_ip(util::VlanId(1), util::IpAddress(10, 0, 0, 9));
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, a);
+
+  // The freed address resolves to whoever takes it next, and unicast
+  // follows the table.
+  fabric_.set_adapter_ip(b, util::IpAddress(10, 0, 0, 1));
+  EXPECT_EQ(fabric_.find_by_ip(util::VlanId(1), util::IpAddress(10, 0, 0, 1)),
+            b);
+  EXPECT_FALSE(
+      fabric_.find_by_ip(util::VlanId(1), util::IpAddress(10, 0, 0, 2)));
+  EXPECT_TRUE(fabric_.resolution_consistent());
+  int received = 0;
+  fabric_.adapter(b).set_receive_handler([&](const Datagram&) { ++received; });
+  EXPECT_TRUE(fabric_.send(a, util::IpAddress(10, 0, 0, 1), test_frame()));
+  sim_.run();
+  EXPECT_EQ(received, 1);
 }
 
 TEST_F(FabricTest, NodeFailureKillsAllItsAdapters) {
@@ -349,6 +390,31 @@ TEST_F(FabricTest, FindByIpDuplicateResolvesToLowestAdapterId) {
   found = fabric_.find_by_ip(util::VlanId(1), util::IpAddress(10, 0, 0, 9));
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, std::max(low, high));
+  EXPECT_TRUE(fabric_.resolution_consistent());
+
+  // Back on the VLAN, the low id wins again; readdressed, it hands the
+  // address back to the high id.
+  fabric_.set_port_vlan(adapter.attached_switch(), adapter.attached_port(),
+                        util::VlanId(1));
+  EXPECT_EQ(fabric_.find_by_ip(util::VlanId(1), util::IpAddress(10, 0, 0, 9)),
+            std::min(low, high));
+  fabric_.set_adapter_ip(std::min(low, high), util::IpAddress(10, 0, 0, 4));
+  EXPECT_EQ(fabric_.find_by_ip(util::VlanId(1), util::IpAddress(10, 0, 0, 9)),
+            std::max(low, high));
+  EXPECT_TRUE(fabric_.resolution_consistent());
+
+  // The other assignment order gives the same winner.
+  Fabric fresh(sim_, util::Rng(3));
+  const util::SwitchId sw = fresh.add_switch(4);
+  const util::AdapterId first = fresh.add_adapter(util::NodeId(0));
+  const util::AdapterId second = fresh.add_adapter(util::NodeId(1));
+  fresh.attach(first, sw, util::VlanId(1));
+  fresh.attach(second, sw, util::VlanId(1));
+  fresh.set_adapter_ip(first, util::IpAddress(10, 0, 0, 9));
+  fresh.set_adapter_ip(second, util::IpAddress(10, 0, 0, 9));
+  EXPECT_EQ(fresh.find_by_ip(util::VlanId(1), util::IpAddress(10, 0, 0, 9)),
+            first);
+  EXPECT_TRUE(fresh.resolution_consistent());
 }
 
 TEST_F(FabricTest, VlanIndexStaysCoherentThroughTopologyChurn) {
@@ -367,17 +433,56 @@ TEST_F(FabricTest, VlanIndexStaysCoherentThroughTopologyChurn) {
   fabric_.set_port_vlan(a0.attached_switch(), a0.attached_port(),
                         util::VlanId(1));
   EXPECT_TRUE(fabric_.vlan_index_consistent());
+  EXPECT_TRUE(fabric_.resolution_consistent());
   EXPECT_EQ(fabric_.vlan_members(util::VlanId(1)).size(), 4u);
   fabric_.fail_switch(sw_);
   EXPECT_TRUE(fabric_.vlan_index_consistent());
+  EXPECT_TRUE(fabric_.resolution_consistent());
   EXPECT_EQ(fabric_.vlan_members(util::VlanId(1)).size(), 4u);
   EXPECT_TRUE(fabric_.adapters_in_vlan(util::VlanId(1)).empty());  // liveness
   fabric_.recover_switch(sw_);
+  EXPECT_TRUE(fabric_.resolution_consistent());
   fabric_.fail_node(util::NodeId(1));
   EXPECT_TRUE(fabric_.vlan_index_consistent());
+  EXPECT_TRUE(fabric_.resolution_consistent());
   const auto& members = fabric_.vlan_members(util::VlanId(1));
   EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
   EXPECT_EQ(fabric_.adapters_in_vlan(util::VlanId(1)).size(), 4u);
+}
+
+// --- Unicast resolution tables ----------------------------------------------------
+
+TEST_F(FabricTest, UnwiredAdapterResolvesToNothing) {
+  const util::AdapterId ghost = fabric_.add_adapter(util::NodeId(0));
+  fabric_.set_adapter_ip(ghost, util::IpAddress(10, 0, 0, 1));
+  EXPECT_FALSE(fabric_.vlan_of(ghost).valid());
+  EXPECT_FALSE(
+      fabric_.find_by_ip(util::VlanId(1), util::IpAddress(10, 0, 0, 1)));
+  EXPECT_TRUE(fabric_.resolution_consistent());
+}
+
+TEST_F(FabricTest, IpTableSurvivesGrowthAndChurn) {
+  // Enough holders to double the table several times, then readdress half
+  // of them and drop a third: every surviving pair must still resolve.
+  Fabric fabric(sim_, util::Rng(4));
+  const util::SwitchId sw = fabric.add_switch(300);
+  std::vector<util::AdapterId> ids;
+  for (std::uint32_t n = 0; n < 300; ++n) {
+    ids.push_back(fabric.add_adapter(util::NodeId(n)));
+    fabric.attach(ids.back(), sw, util::VlanId(1));
+    fabric.set_adapter_ip(ids.back(), util::IpAddress(0x0A000001u + n));
+  }
+  EXPECT_TRUE(fabric.resolution_consistent());
+  for (std::uint32_t n = 0; n < 300; n += 2)
+    fabric.set_adapter_ip(ids[n], util::IpAddress(0x0A010001u + n));
+  for (std::uint32_t n = 0; n < 300; n += 3)
+    fabric.set_adapter_ip(ids[n], util::IpAddress());
+  EXPECT_TRUE(fabric.resolution_consistent());
+  for (std::uint32_t n = 0; n < 300; ++n) {
+    const util::IpAddress now = fabric.adapter(ids[n]).ip();
+    if (now.is_unspecified()) continue;
+    EXPECT_EQ(fabric.find_by_ip(util::VlanId(1), now), ids[n]);
+  }
 }
 
 TEST_F(FabricTest, MulticastPayloadIsSharedAcrossReceivers) {

@@ -605,6 +605,100 @@ TEST_F(ProtocolUnit, StaleNoticeMapPrunedWhenPeerJoins) {
   EXPECT_EQ(proto_->stale_notice_entries(), 0u);
 }
 
+// --- Heartbeat receive path ----------------------------------------------------------
+
+// Harness for the heartbeat tests: a 1 s heartbeat period (miss deadline
+// k*tau + tau/2 = 2.5 s) and a trace tap counting misses per peer.
+class HeartbeatPath : public ProtocolUnit {
+ protected:
+  void SetUp() override {
+    params_.hb_period = sim::seconds(1);
+    params_.trace = &bus_;
+    sub_ = bus_.subscribe([this](const obs::TraceRecord& r) {
+      if (r.kind == obs::TraceKind::kHeartbeatMiss) ++misses_[r.peer];
+    });
+  }
+
+  // Injects a heartbeat from `host` every period for `periods` periods.
+  void heartbeat_for(std::uint8_t host, std::uint64_t view, int periods) {
+    for (int i = 0; i < periods; ++i) {
+      Heartbeat hb{};
+      hb.view = view;
+      hb.seq = static_cast<std::uint64_t>(i + 1);
+      inject(ip(host), hb);
+      sim_.run_until(sim_.now() + params_.hb_period);
+    }
+  }
+
+  obs::TraceBus bus_;
+  obs::Subscription sub_;
+  std::map<util::IpAddress, int> misses_;
+};
+
+TEST_F(HeartbeatPath, MonitoredNeighbourHeartbeatRearmsWithoutStaleNotice) {
+  form_group_as_leader();  // {9, 5, 3}: the bi-ring monitors 5 and 3
+  const std::uint64_t view = proto_->committed().view();
+  // Three periods outlast the 2.5 s deadline: silent 3 is missed, 5 keeps
+  // re-arming.
+  heartbeat_for(5, view, 3);
+  EXPECT_EQ(misses_[ip(5)], 0);
+  EXPECT_EQ(misses_[ip(3)], 1);
+  EXPECT_EQ(count_sent(MsgType::kStaleNotice), 0u);
+  EXPECT_EQ(proto_->stale_notice_entries(), 0u);
+}
+
+TEST_F(HeartbeatPath, UnmonitoredMemberHeartbeatDoesNothing) {
+  // The uni-ring leader monitors only its left neighbour (3); 5 is a
+  // committed member it does not watch.
+  params_.fd_kind = FdKind::kUnidirectionalRing;
+  form_group_as_leader();
+  const std::uint64_t view = proto_->committed().view();
+  heartbeat_for(5, view, 3);
+  EXPECT_EQ(misses_[ip(3)], 1);  // 5's heartbeats re-armed nothing
+  EXPECT_EQ(misses_[ip(5)], 0);
+  EXPECT_EQ(count_sent(MsgType::kStaleNotice), 0u);
+  EXPECT_EQ(proto_->stale_notice_entries(), 0u);
+  EXPECT_EQ(proto_->committed().view(), view);
+}
+
+TEST_F(HeartbeatPath, NonMemberGetsOneStaleNoticePerWindow) {
+  form_group_as_leader();
+  const std::uint64_t view = proto_->committed().view();
+  Heartbeat hb{};
+  hb.seq = 1;
+  // A view above ours is not stale: no notice.
+  hb.view = view + 1;
+  inject(ip(7), hb);
+  EXPECT_EQ(count_sent(MsgType::kStaleNotice), 0u);
+  // Equal and older views are; repeats inside the 1 s window stay quiet.
+  hb.view = view;
+  inject(ip(7), hb);
+  hb.view = view - 1;
+  inject(ip(7), hb);
+  sim_.run_until(sim_.now() + sim::milliseconds(900));
+  inject(ip(7), hb);
+  EXPECT_EQ(count_sent(MsgType::kStaleNotice), 1u);
+  EXPECT_NE(find_sent(MsgType::kStaleNotice, ip(7)), nullptr);
+  // The next window allows one more.
+  sim_.run_until(sim_.now() + sim::milliseconds(100));
+  inject(ip(7), hb);
+  inject(ip(7), hb);
+  EXPECT_EQ(count_sent(MsgType::kStaleNotice), 2u);
+  EXPECT_EQ(proto_->stale_notice_entries(), 1u);
+}
+
+TEST_F(HeartbeatPath, NeighbourHeartbeatWithOtherViewDoesNotRearm) {
+  form_group_as_leader();
+  const std::uint64_t view = proto_->committed().view();
+  ASSERT_GT(view, 0u);
+  // 5 is monitored but heartbeats an older view: refused by the detector,
+  // and as a member it is not told off either.
+  heartbeat_for(5, view - 1, 3);
+  EXPECT_EQ(misses_[ip(5)], 1);
+  EXPECT_EQ(misses_[ip(3)], 1);
+  EXPECT_EQ(count_sent(MsgType::kStaleNotice), 0u);
+}
+
 TEST_F(ProtocolUnit, ProbeAckStatesWhetherResponderLeadsProber) {
   form_group_as_leader();
   Probe probe{};
