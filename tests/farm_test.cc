@@ -1,15 +1,18 @@
 // Farm builder and scenario-helper unit tests.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
 
 #include "farm/farm.h"
 #include "farm/scenario.h"
 #include "obs/jsonl_sink.h"
+#include "soak/schedule.h"
 
 namespace gs::farm {
 namespace {
@@ -186,6 +189,25 @@ TEST(Scenario, RunUntilTimesOut) {
 
 // --- golden trace pin ---------------------------------------------------------
 
+// FNV-1a over a trace file's bytes, plus its line count; removes the file.
+struct TraceDigest {
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  std::uint64_t lines = 0;
+};
+
+TraceDigest digest_and_remove(const std::string& path) {
+  TraceDigest out;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good());
+  for (char c; in.get(c);) {
+    out.digest = (out.digest ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ull;
+    if (c == '\n') ++out.lines;
+  }
+  in.close();
+  std::remove(path.c_str());
+  return out;
+}
+
 // A seeded oceano farm boots, loses its last node, gets it back and
 // re-converges; the full JSONL trace (every record kind, beacon receptions
 // included) is digested with FNV-1a and compared against a recorded
@@ -216,19 +238,68 @@ TEST(GoldenTrace, SeededBootFailureRecoveryDigestIsPinned) {
     ASSERT_TRUE(sink.ok());
   }
 
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  std::uint64_t lines = 0;
-  for (char c; in.get(c);) {
-    digest = (digest ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ull;
-    if (c == '\n') ++lines;
+  const TraceDigest got = digest_and_remove(path);
+  EXPECT_EQ(got.lines, kGoldenLines);
+  EXPECT_EQ(got.digest, kGoldenDigest)
+      << std::hex << "trace digest 0x" << got.digest
+      << " — the seeded run's observable behaviour changed";
+}
+
+// The two-level hierarchy's report paths: AMG leader -> domain Central and
+// domain uplink -> root GSC. The root GSC's node fails, then, while the
+// uplinks are still retrying toward it, so does domain 0's Central node: its
+// uplink drops its in-flight digest, its leaders retry toward the dead
+// Central, and the successor root solicits fulls.
+TEST(GoldenTrace, HierarchicalRootFailoverDigestIsPinned) {
+  constexpr std::uint64_t kGoldenDigest = 0x1534c5e3de40c807ull;
+  constexpr std::uint64_t kGoldenLines = 1061;
+
+  const std::string path = ::testing::TempDir() + "/golden_hier_trace.jsonl";
+  std::array<std::uint64_t, static_cast<std::size_t>(obs::TraceKind::kCount_)>
+      kinds{};
+  {
+    sim::Simulator sim;
+    const proto::Params params = soak::default_soak_params();
+    Farm farm(sim, FarmSpec::hierarchical(2, 2), params, /*seed=*/2);
+    obs::JsonlSink sink;
+    ASSERT_TRUE(sink.open(path));
+    auto tap = sink.tap(farm.trace_bus());
+    auto count =
+        farm.trace_bus().subscribe([&kinds](const obs::TraceRecord& r) {
+          ++kinds[static_cast<std::size_t>(r.kind)];
+        });
+    farm.start();
+    ASSERT_TRUE(run_until_converged(farm, sim::seconds(120)));
+    const std::optional<std::size_t> root = farm.expected_root_node();
+    ASSERT_TRUE(root.has_value());
+    farm.fail_node(*root);
+    sim.run_until(sim.now() + sim::milliseconds(1500));
+    const std::optional<std::size_t> domain_gsc =
+        farm.expected_domain_gsc_node(0);
+    ASSERT_TRUE(domain_gsc.has_value());
+    farm.fail_node(*domain_gsc);
+    sim.run_until(sim.now() + sim::seconds(30));
+    farm.recover_node(*root);
+    farm.recover_node(*domain_gsc);
+    ASSERT_TRUE(run_until_converged(farm, sim.now() + sim::seconds(120)));
+    sink.close();
+    ASSERT_TRUE(sink.ok());
   }
-  in.close();
-  std::remove(path.c_str());
-  EXPECT_EQ(lines, kGoldenLines);
-  EXPECT_EQ(digest, kGoldenDigest)
-      << std::hex << "trace digest 0x" << digest
+
+  // The pin must cover the report-channel paths on both tiers.
+  auto seen = [&kinds](obs::TraceKind kind) {
+    return kinds[static_cast<std::size_t>(kind)];
+  };
+  EXPECT_GT(seen(obs::TraceKind::kReportRetry), 0u);
+  EXPECT_GT(seen(obs::TraceKind::kDomainReportRetry) +
+                seen(obs::TraceKind::kDomainReportNeedFull),
+            0u);
+  EXPECT_GT(seen(obs::TraceKind::kDomainReportDropped), 0u);
+
+  const TraceDigest got = digest_and_remove(path);
+  EXPECT_EQ(got.lines, kGoldenLines);
+  EXPECT_EQ(got.digest, kGoldenDigest)
+      << std::hex << "trace digest 0x" << got.digest
       << " — the seeded run's observable behaviour changed";
 }
 
