@@ -160,7 +160,8 @@ RunResult run_hier(std::uint32_t vlans, int rounds) {
     centrals.push_back(
         std::make_unique<gs::proto::Central>(sim, params, nullptr, nullptr));
     gs::proto::DomainUplink::Iface iface;
-    iface.send = [&root, &uplinks, d](const gs::proto::DomainReport& rep) {
+    iface.send = [&root, &uplinks, d](const gs::proto::DomainReport& rep,
+                                      const gs::net::Payload& /*frame*/) {
       root.handle_domain_report(
           rep.sender, rep, [&uplinks, d](const gs::proto::DomainReportAck& a) {
             uplinks[d]->handle_ack(a);

@@ -191,8 +191,9 @@ void Farm::finish_node(std::size_t index, NodeRole role, util::DomainId domain,
                  "a DomainUplink needs the node's own Central");
     proto::GsDaemon* daemon = daemons_.back().get();
     proto::DomainUplink::Iface iface;
-    iface.send = [daemon](const proto::DomainReport& rep) {
-      daemon->send_domain_report(rep);
+    iface.send = [daemon](const proto::DomainReport& rep,
+                          const net::Payload& frame) {
+      daemon->send_domain_report(rep, frame);
     };
     iface.root_ip = [daemon] { return daemon->uplink_root_ip(); };
     const util::AdapterId uplink_id =

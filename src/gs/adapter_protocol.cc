@@ -83,10 +83,6 @@ void AdapterProtocol::shutdown() {
   defer_timer_.cancel();
   heard_.clear();
   stale_notice_sent_.clear();
-  // The report counter dies with the daemon process: after a restart this
-  // adapter numbers its reports from scratch (GSC recognizes the fresh
-  // instance by the full snapshot, not by the counter).
-  report_seq_ = 0;
   state_ = AdapterState::kIdle;
 }
 
@@ -724,14 +720,12 @@ void AdapterProtocol::arm_report_debounce() {
   });
 }
 
-MembershipReport AdapterProtocol::build_report() {
+MembershipReport AdapterProtocol::build_report(bool full) {
   GS_CHECK(state_ == AdapterState::kLeader && !committed_.empty());
   MembershipReport rep;
-  rep.seq = ++report_seq_;
   rep.view = committed_.view();
   rep.leader = self_;
-  rep.full = need_full_;
-  need_full_ = false;
+  rep.full = full;
 
   std::set<util::IpAddress> current;
   for (const MemberInfo& m : committed_.members()) current.insert(m.ip);
@@ -758,17 +752,16 @@ MembershipReport AdapterProtocol::build_report() {
       rep.removed.push_back(removed);
     }
   }
-  pending_snapshot_ = PendingSnapshot{rep.seq, std::move(current)};
+  pending_snapshot_ = std::move(current);
   return rep;
 }
 
-void AdapterProtocol::report_acked(std::uint64_t seq) {
-  if (!pending_snapshot_ || pending_snapshot_->seq != seq) return;
+void AdapterProtocol::report_acked() {
+  if (!pending_snapshot_) return;
   // Every departure outside the acked snapshot has now been conveyed.
   for (auto it = departures_.begin(); it != departures_.end();)
-    it = pending_snapshot_->membership.count(it->first) ? ++it
-                                                        : departures_.erase(it);
-  last_acked_membership_ = std::move(pending_snapshot_->membership);
+    it = pending_snapshot_->count(it->first) ? ++it : departures_.erase(it);
+  last_acked_membership_ = std::move(*pending_snapshot_);
   pending_snapshot_.reset();
 }
 
@@ -915,7 +908,7 @@ void AdapterProtocol::do_takeover() {
     departures_[ip] = RemoveReason::kFailed;
   }
   state_ = AdapterState::kLeader;
-  need_full_ = true;  // fresh leadership: establish the group at GSC anew
+  if (hooks_.on_leadership_reset) hooks_.on_leadership_reset();
   force_recommit_ = true;
   propose();
 }
@@ -994,7 +987,7 @@ void AdapterProtocol::clear_leader_duty_state() {
   last_join_sent_ = -1;
   report_timer_.cancel();
   // Reporting restarts from scratch on the next leadership.
-  need_full_ = true;
+  if (hooks_.on_leadership_reset) hooks_.on_leadership_reset();
   last_acked_membership_.clear();
   pending_snapshot_.reset();
   departures_.clear();

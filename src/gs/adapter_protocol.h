@@ -88,6 +88,10 @@ class AdapterProtocol {
     // The leader's report debounce (T_AMG) fired: the daemon should call
     // build_report() and deliver it toward GulfStream Central.
     std::function<void()> on_report_pending;
+    // Leader duties ended (demotion, reset, shutdown) or a takeover began a
+    // fresh leadership: the delta baseline is gone, so the next report must
+    // establish the group at GSC anew with a full snapshot.
+    std::function<void()> on_leadership_reset;
     std::function<void(const MembershipView&)> on_committed;
     std::function<void(util::IpAddress)> on_death_declared;
     std::function<void()> on_reset;
@@ -143,9 +147,13 @@ class AdapterProtocol {
 
   // --- Reporting interface (leader only; driven by the daemon) --------------
 
-  [[nodiscard]] MembershipReport build_report();
-  void report_acked(std::uint64_t seq);
-  void mark_need_full() { need_full_ = true; }
+  // The report's content: the committed view as a snapshot when `full`,
+  // else the changes since the last acked report (cumulative, so a new
+  // report supersedes one still in flight). The daemon's ReportSender
+  // numbers it and decides `full`.
+  [[nodiscard]] MembershipReport build_report(bool full);
+  // The last built report was acked: it becomes the delta baseline.
+  void report_acked();
 
  private:
   // Emits one protocol-phase trace record onto params_.trace (no-op when
@@ -285,14 +293,9 @@ class AdapterProtocol {
   sim::SimTime last_join_sent_ = -1;
 
   // Reporting.
-  std::uint64_t report_seq_ = 0;
-  bool need_full_ = true;
   std::set<util::IpAddress> last_acked_membership_;
-  struct PendingSnapshot {
-    std::uint64_t seq = 0;
-    std::set<util::IpAddress> membership;
-  };
-  std::optional<PendingSnapshot> pending_snapshot_;
+  // Membership of the last built report, the baseline once it is acked.
+  std::optional<std::set<util::IpAddress>> pending_snapshot_;
   std::map<util::IpAddress, RemoveReason> departures_;  // until acked
   sim::Timer report_timer_;
 

@@ -31,7 +31,12 @@ std::string_view to_string(FarmEvent::Kind kind) {
 
 Central::Central(sim::TimeSource& clock, const Params& params,
                  config::ConfigDb* db, net::SwitchConsole* console)
-    : sim_(clock), params_(params), db_(db), console_(console) {}
+    : sim_(clock),
+      params_(params),
+      db_(db),
+      console_(console),
+      ledger_(clock, params, ReportLedger::Incarnations::kUnnamed,
+              [this] { lease_sweep(); }) {}
 
 Central::~Central() { cancel_all_timers(); }
 
@@ -39,7 +44,7 @@ void Central::cancel_all_timers() {
   for (auto& [ip, state] : expected_moves_) state.deadline.cancel();
   for (auto& [ip, timer] : held_failures_) timer.cancel();
   stability_timer_.cancel();
-  lease_timer_.cancel();
+  ledger_.cancel_sweep();
 }
 
 void Central::emit(FarmEvent event) {
@@ -55,14 +60,11 @@ void Central::trace(obs::TraceKind kind, util::IpAddress ip, std::uint64_t a) {
 }
 
 void Central::clear_all_state() {
+  cancel_all_timers();
   groups_.clear();
   adapters_.clear();
-  for (auto& [ip, state] : expected_moves_) state.deadline.cancel();
   expected_moves_.clear();
-  for (auto& [ip, timer] : held_failures_) timer.cancel();
   held_failures_.clear();
-  stability_timer_.cancel();
-  lease_timer_.cancel();
   stable_ = false;
   stable_time_ = -1;
   nodes_down_.clear();
@@ -77,7 +79,7 @@ void Central::activate(util::IpAddress self_admin_ip) {
   clear_all_state();
   active_ = true;
   self_ip_ = self_admin_ip;
-  arm_lease_sweep();
+  ledger_.arm_sweep();
   if (observer_ != nullptr) observer_->central_activated();
   // Past the early-return above, the trace always means "fresh, empty
   // tables" — the span tracker relies on that to void its mirrored
@@ -126,49 +128,37 @@ void Central::handle_report(util::IpAddress from,
   ack.leader = report.leader.ip;
 
   auto it = groups_.find(report.leader.ip);
-  const bool duplicate =
-      it != groups_.end() &&
-      (report.full ? report.seq == it->second.last_seq &&
-                         report.view == it->second.view
-                   : report.seq <= it->second.last_seq);
-  if (duplicate) {
-    // Duplicate of something already applied — idempotent ack. A *full*
-    // report is a duplicate only when BOTH its seq and view match the
-    // record: a restarted leader's daemon numbers reports from scratch
-    // (its counter died with the process), so its fresh snapshot can
-    // collide with last_seq at small values while carrying a different
-    // view. The (seq, view) pair identifies the snapshot; anything else —
-    // regressed seq, colliding seq with a new view — is the leader
-    // establishing the group anew. Ack-without-apply would wedge the
-    // group here forever, every fresh report looking "stale". Let the
-    // snapshot fall through and reset last_seq.
-    //
-    // Even a duplicate renews the group's lease: it is first-hand evidence
-    // the leader is alive and still claims the group. Without this, a
-    // leader whose reports all look stale would have its group lease-expired
-    // and every member declared dead while the leader is healthy.
-    it->second.last_report = sim_.now();
-    if (report.full)
-      obs::emit_trace(params_.trace, obs::TraceKind::kGscReportDup, sim_.now(),
-                      self_ip_, report.leader.ip, report.seq, report.view);
-    reply(ack);
-    return;
-  }
-  if (!report.full &&
-      (it == groups_.end() || report.seq != it->second.last_seq + 1)) {
-    // Never saw this group's snapshot (fresh GSC) or a delta went missing.
-    // A rejected delta for a KNOWN group still proves its leader alive and
-    // claiming the group, so it renews the lease — without this, a leader
-    // stuck in need_full (its fulls lost to the wire) has its live group
-    // expired by lease_sweep while it is actively reporting. It must NOT
-    // touch the member table though: when the group was already retired
-    // (it == end), applying anything from the stale delta would resurrect
-    // the group with stale members; the full we are asking for re-creates
-    // it from scratch instead.
-    if (it != groups_.end()) it->second.last_report = sim_.now();
-    ack.need_full = true;
-    reply(ack);
-    return;
+  ReportLedger::Record* record =
+      it != groups_.end() ? &it->second.ingest : nullptr;
+  // Leader reports name no incarnation, so the view stands in for one: a
+  // delta continues the group's stream, and a full is the recorded snapshot
+  // only when BOTH its seq and view match the record. A restarted leader's
+  // daemon numbers reports from scratch (its counter died with the
+  // process), so its fresh snapshot can collide with last_seq at small
+  // values while carrying a different view. Ack-without-apply would wedge
+  // the group here forever, every fresh report looking "stale"; such a
+  // snapshot is applied and resets last_seq instead.
+  const bool same_stream =
+      !report.full || (record != nullptr && report.view == it->second.view);
+  switch (ledger_.admit(record, report.seq, report.full, same_stream)) {
+    case ReportLedger::Verdict::kDuplicate:
+      if (report.full)
+        obs::emit_trace(params_.trace, obs::TraceKind::kGscReportDup,
+                        sim_.now(), self_ip_, report.leader.ip, report.seq,
+                        report.view);
+      reply(ack);
+      return;
+    case ReportLedger::Verdict::kNeedFull:
+      // Never saw this group's snapshot (fresh GSC) or a delta went
+      // missing. The member table is NOT touched: when the group was
+      // already retired, applying anything from the stale delta would
+      // resurrect it with stale members; the full we ask for re-creates it
+      // from scratch instead.
+      ack.need_full = true;
+      reply(ack);
+      return;
+    case ReportLedger::Verdict::kApply:
+      break;
   }
 
   // Initial-topology stability means no *news* for gsc_stable_wait. A
@@ -188,8 +178,7 @@ void Central::handle_report(util::IpAddress from,
   Group& group = groups_[report.leader.ip];
   group.leader = report.leader;
   group.view = report.view;
-  group.last_seq = report.seq;
-  group.last_report = sim_.now();
+  ledger_.applied(group.ingest, report.seq);
   // Every report is first-hand evidence that its sending leader is alive,
   // overriding any stale death claim a third party may have lodged.
   attest_leader(report.leader);
@@ -288,27 +277,14 @@ void Central::handle_report(util::IpAddress from,
   reply(ack);
 }
 
-void Central::arm_lease_sweep() {
-  // Lease expiry only makes sense while leaders renew: with report_refresh
-  // disabled a healthy-but-unchanged group never re-reports, and sweeping
-  // would declare its whole membership dead on schedule.
-  if (params_.group_lease <= 0 || params_.report_refresh <= 0) return;
-  const sim::SimDuration period =
-      std::max<sim::SimDuration>(params_.group_lease / 4, sim::kSecond);
-  lease_timer_ = sim_.after(period, [this] { lease_sweep(); });
-}
-
 void Central::lease_sweep() {
-  lease_timer_ = sim::Timer();
-  if (!active_) return;
   // A group whose leader has been silent past its lease died wholesale:
   // there was no survivor left to send the death notice (§3's partition
   // corner — the last node of an isolated segment half going down). Leaders
   // refresh every report_refresh, so a live group never goes this quiet.
   std::vector<util::IpAddress> expired;
   for (const auto& [leader_ip, group] : groups_)
-    if (sim_.now() - group.last_report > params_.group_lease)
-      expired.push_back(leader_ip);
+    if (ledger_.expired(group.ingest)) expired.push_back(leader_ip);
   for (util::IpAddress leader_ip : expired) {
     auto it = groups_.find(leader_ip);
     if (it == groups_.end()) continue;  // retired by an earlier expiry
@@ -328,7 +304,6 @@ void Central::lease_sweep() {
       mark_failed(leader_ip);
     retire_group(leader_ip);  // mark_failed no-ops if already recorded dead
   }
-  arm_lease_sweep();
 }
 
 void Central::attest_leader(const MemberInfo& leader) {

@@ -31,6 +31,7 @@
 #include "gs/events.h"
 #include "gs/messages.h"
 #include "gs/params.h"
+#include "gs/report_channel.h"
 #include "net/console.h"
 #include "sim/time_source.h"
 
@@ -193,8 +194,7 @@ class Central {
   struct Group {
     MemberInfo leader;
     std::uint64_t view = 0;
-    std::uint64_t last_seq = 0;
-    sim::SimTime last_report = 0;  // lease: when the leader last reported
+    ReportLedger::Record ingest;  // the leader's seq and lease
     std::set<util::IpAddress> members;
   };
 
@@ -219,7 +219,6 @@ class Central {
     if (observer_ != nullptr) observer_->adapter_changed(ip);
   }
   void arm_stability_timer();
-  void arm_lease_sweep();
   void lease_sweep();
   void attest_leader(const MemberInfo& leader);
   bool claim_member(const MemberInfo& m, util::IpAddress leader,
@@ -259,7 +258,7 @@ class Central {
       util::SwitchId sw) const;
 
   sim::Timer stability_timer_;
-  sim::Timer lease_timer_;
+  ReportLedger ledger_;
   bool stable_ = false;
   sim::SimTime stable_time_ = -1;
 

@@ -37,10 +37,8 @@ void DomainUplink::central_activated() {
   // from scratch, and a full digest once its tables have content. The root
   // recognizes the epoch change and replaces the domain's slice.
   ++epoch_;
-  seq_ = 0;
-  need_full_ = true;
+  sender_.restart();
   dirty_.clear();
-  outstanding_.reset();
   arm_refresh();
   arm_batch();
 }
@@ -51,7 +49,7 @@ void DomainUplink::central_deactivated() {
   refresh_timer_.cancel();
   drop_outstanding();
   dirty_.clear();
-  need_full_ = true;
+  sender_.mark_full();
 }
 
 void DomainUplink::adapter_changed(util::IpAddress ip) {
@@ -64,25 +62,22 @@ void DomainUplink::on_root_changed() {
   if (halted_ || !central_.active()) return;
   // A new root starts empty; whatever was in flight toward the old one is
   // moot. Re-establish the whole domain.
-  need_full_ = true;
-  outstanding_.reset();
+  sender_.mark_full();
+  sender_.drop();
   retry_timer_.cancel();
   flush();
 }
 
 void DomainUplink::handle_ack(const DomainReportAck& ack) {
-  if (halted_) return;
-  if (!outstanding_ || ack.seq != outstanding_->seq || ack.domain != domain_)
-    return;
-  outstanding_.reset();
+  if (halted_ || ack.domain != domain_) return;
+  if (!sender_.ack(ack.seq, ack.need_full)) return;
   obs::emit_trace(params_.trace,
                   ack.need_full ? obs::TraceKind::kDomainReportNeedFull
                                 : obs::TraceKind::kDomainReportAcked,
                   sim_.now(), self_ip_, {}, ack.seq, domain_);
   if (ack.need_full) {
-    need_full_ = true;
     flush();
-  } else if (need_full_ || !dirty_.empty()) {
+  } else if (sender_.need_full() || !dirty_.empty()) {
     // Changes accumulated while the acked report was in flight.
     arm_batch();
   }
@@ -90,22 +85,17 @@ void DomainUplink::handle_ack(const DomainReportAck& ack) {
 
 void DomainUplink::halt() {
   halted_ = true;
-  batch_timer_.cancel();
-  retry_timer_.cancel();
-  refresh_timer_.cancel();
-  drop_outstanding();
-  dirty_.clear();
-  need_full_ = true;
+  central_deactivated();
 }
 
 void DomainUplink::drop_outstanding() {
-  if (!outstanding_) return;
+  if (!sender_.outstanding()) return;
   // The in-flight digest dies with this Central incarnation: the retry
   // timer is cancelled and a demoted standby never sends again, so without
   // this edge the digest's span could never close or be superseded.
   obs::emit_trace(params_.trace, obs::TraceKind::kDomainReportDropped,
-                  sim_.now(), self_ip_, {}, outstanding_->seq, domain_);
-  outstanding_.reset();
+                  sim_.now(), self_ip_, {}, sender_.report().seq, domain_);
+  sender_.drop();
 }
 
 void DomainUplink::resume() {
@@ -118,7 +108,7 @@ void DomainUplink::arm_batch() {
   // One report outstanding at a time: while in flight, new dirt waits for
   // the ack. The batch window is what turns a burst of table changes into
   // ONE frame with many per-adapter entries.
-  if (outstanding_ || batch_timer_.armed()) return;
+  if (sender_.outstanding() || batch_timer_.armed()) return;
   const sim::SimDuration wait = std::max<sim::SimDuration>(params_.domain_batch, 0);
   batch_timer_ = sim_.after(wait, [this] { flush(); });
 }
@@ -126,27 +116,28 @@ void DomainUplink::arm_batch() {
 void DomainUplink::flush() {
   batch_timer_.cancel();
   if (halted_ || !central_.active()) return;
-  if (outstanding_) return;                   // ack path re-arms
-  if (!need_full_ && dirty_.empty()) return;  // nothing to say
+  if (sender_.outstanding()) return;  // ack path re-arms
+  if (!sender_.need_full() && dirty_.empty()) return;  // nothing to say
   if (iface_.root_ip().is_unspecified()) {
     // Uplink AMG not formed yet; try again on the retry cadence (and
     // immediately when on_root_changed fires).
     arm_retry();
     return;
   }
-  outstanding_ = build_report();
-  send_current();
+  sender_.stamp(build_report(sender_.need_full()), scratch_);
+  ++reports_sent_;
+  obs::emit_trace(params_.trace, obs::TraceKind::kDomainReportSent, sim_.now(),
+                  self_ip_, iface_.root_ip(), sender_.report().seq,
+                  sender_.report().full ? 1 : 0);
+  iface_.send(sender_.report(), sender_.frame());
   arm_retry();
 }
 
-DomainReport DomainUplink::build_report() {
+DomainReport DomainUplink::build_report(bool full) {
   DomainReport rep;
-  rep.seq = ++seq_;
   rep.epoch = epoch_;
   rep.domain = domain_;
   rep.sender = self_ip_;
-  rep.full = need_full_;
-  need_full_ = false;
 
   // The adapter table knows each row's group leader but not the group's
   // view; one pass over the (small) group list covers every entry.
@@ -163,7 +154,7 @@ DomainReport DomainUplink::build_report() {
     return e;
   };
 
-  if (rep.full) {
+  if (full) {
     for (const Central::AdapterStatus& status : central_.adapter_table())
       rep.entries.push_back(to_entry(status));
   } else {
@@ -180,15 +171,6 @@ DomainReport DomainUplink::build_report() {
   return rep;
 }
 
-void DomainUplink::send_current() {
-  GS_CHECK(outstanding_.has_value());
-  ++reports_sent_;
-  obs::emit_trace(params_.trace, obs::TraceKind::kDomainReportSent, sim_.now(),
-                  self_ip_, iface_.root_ip(), outstanding_->seq,
-                  outstanding_->full ? 1 : 0);
-  iface_.send(*outstanding_);
-}
-
 void DomainUplink::arm_retry() {
   if (retry_timer_.armed()) return;
   retry_timer_ = sim_.after(params_.report_retry, [this] { retry_tick(); });
@@ -197,34 +179,34 @@ void DomainUplink::arm_retry() {
 void DomainUplink::retry_tick() {
   retry_timer_ = sim::Timer();
   if (halted_ || !central_.active()) return;
-  if (outstanding_) {
+  if (sender_.outstanding()) {
     if (iface_.root_ip().is_unspecified()) {
       arm_retry();  // root vanished mid-flight; keep the report queued
       return;
     }
     obs::emit_trace(params_.trace, obs::TraceKind::kDomainReportRetry,
-                    sim_.now(), self_ip_, iface_.root_ip(), outstanding_->seq,
-                    domain_);
-    iface_.send(*outstanding_);
+                    sim_.now(), self_ip_, iface_.root_ip(),
+                    sender_.report().seq, domain_);
+    iface_.send(sender_.report(), sender_.frame());
     arm_retry();
     return;
   }
   // No report in flight: we were parked waiting for a root to appear.
-  if (need_full_ || !dirty_.empty()) flush();
+  if (sender_.need_full() || !dirty_.empty()) flush();
 }
 
 void DomainUplink::arm_refresh() {
-  if (params_.domain_refresh <= 0) return;
+  if (params_.report_refresh <= 0) return;
   refresh_timer_ =
-      sim_.after(params_.domain_refresh, [this] { refresh_tick(); });
+      sim_.after(params_.report_refresh, [this] { refresh_tick(); });
 }
 
 void DomainUplink::refresh_tick() {
   refresh_timer_ = sim::Timer();
   if (halted_ || !central_.active()) return;
   // Re-assert the whole domain even when nothing changed: the root retires
-  // a silent domain after domain_lease, so renewal is the liveness signal.
-  need_full_ = true;
+  // a silent domain after group_lease, so renewal is the liveness signal.
+  sender_.mark_full();
   arm_batch();
   arm_refresh();
 }
@@ -232,9 +214,10 @@ void DomainUplink::refresh_tick() {
 // --- RootCentral ------------------------------------------------------------
 
 RootCentral::RootCentral(sim::TimeSource& clock, const Params& params)
-    : sim_(clock), params_(params) {}
-
-RootCentral::~RootCentral() { lease_timer_.cancel(); }
+    : sim_(clock),
+      params_(params),
+      ledger_(clock, params, ReportLedger::Incarnations::kNamed,
+              [this] { lease_sweep(); }) {}
 
 void RootCentral::trace(obs::TraceKind kind, util::IpAddress peer,
                         std::uint64_t a, std::uint64_t b) {
@@ -244,7 +227,7 @@ void RootCentral::trace(obs::TraceKind kind, util::IpAddress peer,
 void RootCentral::clear_all_state() {
   rows_.clear();
   domains_.clear();
-  lease_timer_.cancel();
+  ledger_.cancel_sweep();
   reports_received_ = 0;
   need_fulls_sent_ = 0;
 }
@@ -254,7 +237,7 @@ void RootCentral::activate(util::IpAddress self_ip) {
   clear_all_state();
   active_ = true;
   self_ip_ = self_ip;
-  arm_lease_sweep();
+  ledger_.arm_sweep();
   trace(obs::TraceKind::kRootActivated);
 }
 
@@ -278,37 +261,35 @@ void RootCentral::handle_domain_report(
   ack.domain = report.domain;
 
   auto it = domains_.find(report.domain);
-  const bool same_incarnation = it != domains_.end() &&
+  ReportLedger::Record* record =
+      it != domains_.end() ? &it->second.ingest : nullptr;
+  // A domain's stream is one uplink sender in one epoch: a restarted domain
+  // Central (new epoch) or a standby's uplink (new sender) starts another.
+  const bool same_incarnation = record != nullptr &&
                                 it->second.sender == report.sender &&
                                 it->second.epoch == report.epoch;
-  if (same_incarnation && report.seq <= it->second.last_seq) {
-    // Duplicate of something already applied — idempotent ack that still
-    // renews the domain lease (first-hand evidence the uplink is alive).
-    it->second.last_report = sim_.now();
-    trace(obs::TraceKind::kRootReportDup, report.sender, report.seq,
-          report.domain);
-    reply(ack);
-    return;
-  }
-  if (!report.full &&
-      (!same_incarnation || report.seq != it->second.last_seq + 1)) {
-    // Unknown incarnation (fresh root, restarted domain Central, or a new
-    // uplink sender) or a dropped delta mid-batch: ask for the full digest.
-    // Same lease rule as the flat Central's need_full path: a rejected
-    // delta from a KNOWN domain still renews the lease — the uplink is
-    // alive and mid-recovery — but never touches the row table.
-    if (it != domains_.end()) it->second.last_report = sim_.now();
-    ack.need_full = true;
-    ++need_fulls_sent_;
-    reply(ack);
-    return;
+  switch (ledger_.admit(record, report.seq, report.full, same_incarnation)) {
+    case ReportLedger::Verdict::kDuplicate:
+      trace(obs::TraceKind::kRootReportDup, report.sender, report.seq,
+            report.domain);
+      reply(ack);
+      return;
+    case ReportLedger::Verdict::kNeedFull:
+      // Unknown incarnation (fresh root, restarted domain Central, or a new
+      // uplink sender) or a dropped delta mid-batch: ask for the full
+      // digest, without touching the row table.
+      ack.need_full = true;
+      ++need_fulls_sent_;
+      reply(ack);
+      return;
+    case ReportLedger::Verdict::kApply:
+      break;
   }
 
   DomainState& st = domains_[report.domain];
   st.sender = report.sender;
   st.epoch = report.epoch;
-  st.last_seq = report.seq;
-  st.last_report = sim_.now();
+  ledger_.applied(st.ingest, report.seq);
 
   if (report.full) {
     // Replace the domain's slice: apply every entry, then drop owned rows
@@ -354,7 +335,7 @@ bool RootCentral::apply_entry(std::uint32_t domain,
     if (old_domain != domains_.end())
       old_domain->second.owned.erase(entry.info.ip);
   }
-  Row& row = rows_[entry.info.ip];
+  AdapterStatus& row = rows_[entry.info.ip];
   const bool changed = row.alive != entry.alive ||
                        row.group_leader != entry.group_leader ||
                        row.last_change == 0;
@@ -367,22 +348,10 @@ bool RootCentral::apply_entry(std::uint32_t domain,
   return true;
 }
 
-void RootCentral::arm_lease_sweep() {
-  // Mirrors the flat Central's gating: expiry without renewal would retire
-  // every healthy-but-quiet domain on schedule.
-  if (params_.domain_lease <= 0 || params_.domain_refresh <= 0) return;
-  const sim::SimDuration period =
-      std::max<sim::SimDuration>(params_.domain_lease / 4, sim::kSecond);
-  lease_timer_ = sim_.after(period, [this] { lease_sweep(); });
-}
-
 void RootCentral::lease_sweep() {
-  lease_timer_ = sim::Timer();
-  if (!active_) return;
   std::vector<std::uint32_t> expired;
   for (const auto& [domain, st] : domains_)
-    if (sim_.now() - st.last_report > params_.domain_lease)
-      expired.push_back(domain);
+    if (ledger_.expired(st.ingest)) expired.push_back(domain);
   for (std::uint32_t domain : expired) {
     auto it = domains_.find(domain);
     if (it == domains_.end()) continue;
@@ -404,21 +373,13 @@ void RootCentral::lease_sweep() {
     trace(obs::TraceKind::kRootDomainExpired, {}, domain);
     domains_.erase(it);
   }
-  arm_lease_sweep();
 }
 
 std::optional<RootCentral::AdapterStatus> RootCentral::adapter_status(
     util::IpAddress ip) const {
   auto it = rows_.find(ip);
   if (it == rows_.end()) return std::nullopt;
-  AdapterStatus status;
-  status.info = it->second.info;
-  status.alive = it->second.alive;
-  status.group_leader = it->second.group_leader;
-  status.view = it->second.view;
-  status.domain = it->second.domain;
-  status.last_change = it->second.last_change;
-  return status;
+  return it->second;
 }
 
 std::size_t RootCentral::alive_adapter_count() const {

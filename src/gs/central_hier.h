@@ -3,25 +3,27 @@
 // The flat design (central.h) has every AMG leader in the farm report to ONE
 // Central — the scalability wall the related work attacks. Here each domain
 // keeps a plain Central consuming its VLANs' leader reports exactly as
-// before, and two new pieces carry the aggregate upward:
+// before, and two new pieces carry the aggregate upward over the same report
+// channel the leaders use (report_channel.h):
 //
 //  * DomainUplink observes its domain Central's table (Central::TableObserver)
 //    and batches every changed adapter into compressed DomainReport digests —
 //    many per-adapter changes per frame, full digests to (re)establish the
-//    domain, deltas in the steady state. One report outstanding at a time,
-//    retried until acked, re-sent as a full when the root changes or asks
-//    (need_full), periodically refreshed in full to renew the root's
-//    domain lease. Sequence/epoch pairs let the root tell a restarted domain
+//    domain, deltas in the steady state. Its ReportSender keeps one digest
+//    in flight, retried until acked, re-sent as a full when the root changes
+//    or asks (need_full), and periodically refreshed in full (every
+//    report_refresh) to renew the root's lease. An epoch, bumped each time
+//    the domain Central activates, lets the root tell a restarted domain
 //    Central from a lost frame.
 //
-//  * RootCentral consumes DomainReports from every domain uplink and keeps
-//    the farm-wide adapter table plus group structure *derived* from the
-//    per-adapter (group_leader, view) pairs — member lists never cross the
-//    uplink. Failover mirrors the flat design at both levels: a domain
-//    Central dying makes its leaders re-home via the existing discovery path
-//    (new epoch, full digest); a root dying rebuilds from the need_full-
-//    triggered domain fulls; a silently dead domain expires wholesale after
-//    domain_lease.
+//  * RootCentral consumes DomainReports from every domain uplink through its
+//    ReportLedger and keeps the farm-wide adapter table plus group structure
+//    *derived* from the per-adapter (group_leader, view) pairs — member
+//    lists never cross the uplink. Failover mirrors the flat design at both
+//    levels: a domain Central dying makes its leaders re-home via the
+//    existing discovery path (new epoch, full digest); a root dying rebuilds
+//    from the need_full-triggered domain fulls; a silently dead domain
+//    expires wholesale after group_lease.
 //
 // Neither class owns a transport: the hosting daemon wires DomainUplink's
 // Iface to its uplink adapter and routes kDomainReport/kDomainReportAck
@@ -39,17 +41,18 @@
 #include "gs/central.h"
 #include "gs/messages.h"
 #include "gs/params.h"
+#include "gs/report_channel.h"
 #include "sim/time_source.h"
+#include "wire/buffer.h"
 
 namespace gs::proto {
 
 class DomainUplink : public Central::TableObserver {
  public:
   struct Iface {
-    // Delivers one DomainReport toward the current root GSC. The daemon
-    // owns framing and transport; never called while root_ip() is
-    // unspecified.
-    std::function<void(const DomainReport&)> send;
+    // Delivers one DomainReport, already encoded as `frame`, toward the
+    // current root GSC; never called while root_ip() is unspecified.
+    std::function<void(const DomainReport&, const net::Payload& frame)> send;
     // Current root GSC IP (the uplink adapter's AMG leader), or unspecified
     // while that AMG is uncommitted.
     std::function<util::IpAddress()> root_ip;
@@ -77,25 +80,28 @@ class DomainUplink : public Central::TableObserver {
   // Node death/boot, mirroring the daemon's halt/resume.
   void halt();
   void resume();
+  // Teardown only: releases the digest in flight without a trace, on the
+  // thread that encoded it (see GsDaemon::drop_in_flight).
+  void drop_in_flight() { sender_.drop(); }
 
   [[nodiscard]] std::uint32_t domain() const { return domain_; }
   [[nodiscard]] util::IpAddress self_ip() const { return self_ip_; }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] std::uint64_t reports_sent() const { return reports_sent_; }
   [[nodiscard]] bool report_outstanding() const {
-    return outstanding_.has_value();
+    return sender_.outstanding();
   }
 
  private:
   void arm_batch();
   void flush();
-  void send_current();
   void arm_retry();
   void retry_tick();
   void arm_refresh();
   void refresh_tick();
   void drop_outstanding();
-  [[nodiscard]] DomainReport build_report();
+  // The digest's content: the whole table when `full`, else the dirty set.
+  [[nodiscard]] DomainReport build_report(bool full);
 
   sim::TimeSource& sim_;
   const Params& params_;
@@ -105,11 +111,10 @@ class DomainUplink : public Central::TableObserver {
   Iface iface_;
 
   bool halted_ = false;
-  std::uint64_t epoch_ = 0;   // counts central_activated()
-  std::uint64_t seq_ = 0;     // per-epoch report sequence
-  bool need_full_ = true;
+  std::uint64_t epoch_ = 0;  // counts central_activated()
+  ReportSender<DomainReport> sender_;  // seqs restart with each epoch
   std::set<util::IpAddress> dirty_;  // changed since the last flush
-  std::optional<DomainReport> outstanding_;  // at most one in flight
+  wire::Writer scratch_;
   sim::Timer batch_timer_;
   sim::Timer retry_timer_;
   sim::Timer refresh_timer_;
@@ -119,7 +124,6 @@ class DomainUplink : public Central::TableObserver {
 class RootCentral {
  public:
   RootCentral(sim::TimeSource& clock, const Params& params);
-  ~RootCentral();
 
   RootCentral(const RootCentral&) = delete;
   RootCentral& operator=(const RootCentral&) = delete;
@@ -173,26 +177,15 @@ class RootCentral {
   }
 
  private:
-  struct Row {
-    MemberInfo info;
-    bool alive = false;
-    util::IpAddress group_leader;
-    std::uint64_t view = 0;
-    std::uint32_t domain = 0;
-    sim::SimTime last_change = 0;
-  };
-
   struct DomainState {
     util::IpAddress sender;      // uplink adapter IP of the current epoch
     std::uint64_t epoch = 0;
-    std::uint64_t last_seq = 0;
-    sim::SimTime last_report = 0;  // domain lease
+    ReportLedger::Record ingest;  // the uplink's seq and lease
     std::set<util::IpAddress> owned;
   };
 
   void trace(obs::TraceKind kind, util::IpAddress peer = {},
              std::uint64_t a = 0, std::uint64_t b = 0);
-  void arm_lease_sweep();
   void lease_sweep();
   // Applies one digest row; false when a stale cross-domain claim was
   // fenced off (a dead/unassigned verdict from a domain that no longer
@@ -208,9 +201,9 @@ class RootCentral {
   std::uint64_t reports_received_ = 0;
   std::uint64_t need_fulls_sent_ = 0;
 
-  std::map<util::IpAddress, Row> rows_;
+  std::map<util::IpAddress, AdapterStatus> rows_;
   std::map<std::uint32_t, DomainState> domains_;
-  sim::Timer lease_timer_;
+  ReportLedger ledger_;
 };
 
 }  // namespace gs::proto

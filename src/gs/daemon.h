@@ -5,15 +5,18 @@
 // Besides hosting the protocols, the daemon implements the node-level glue:
 //  * the start-up skew and per-message processing-delay model (the δ of
 //    Equation 1),
-//  * frame reception: CRC/envelope validation, then routing — membership
-//    reports to the locally hosted Central, report acks to the hosted
-//    leader they belong to, everything else to the adapter's protocol,
+//  * frame reception: CRC/envelope validation, then routing — reports to
+//    the locally hosted Central or RootCentral, acks to the hosted leader or
+//    DomainUplink they belong to, everything else to the adapter's protocol,
 //  * the administrative-adapter convention (§2.2): adapter 0 is the admin
 //    adapter; the leader of its AMG is GulfStream Central, so this daemon
 //    activates/deactivates its Central instance as that leadership changes,
-//  * reliable report delivery: leaders' MembershipReports are sent via the
-//    admin adapter to the current GSC, retried until acked, rebuilt as
-//    full snapshots when GSC changes or asks (need_full).
+//  * reliable report delivery (report_channel.h): one ReportSender per
+//    adapter sends its leader's MembershipReports via the admin adapter to
+//    the current GSC, retried until acked on one per-node retry timer and
+//    rebuilt as full snapshots when the GSC changes or asks (need_full), or
+//    on the per-node refresh timer. The DomainUplink's digests share the
+//    same send and ack paths through the uplink adapter.
 //
 // The daemon sees the outside world only through two seams: a TimeSource
 // (virtual simulator time or a wall clock) and a Transport (the simulated
@@ -32,6 +35,7 @@
 #include "gs/central.h"
 #include "gs/central_hier.h"
 #include "gs/params.h"
+#include "gs/report_channel.h"
 #include "net/transport.h"
 #include "sim/time_source.h"
 #include "util/ids.h"
@@ -145,7 +149,9 @@ class GsDaemon {
   }
 
   // The admin-AMG leader's IP = where reports go (invalid if uncommitted).
-  [[nodiscard]] util::IpAddress gsc_ip() const;
+  [[nodiscard]] util::IpAddress gsc_ip() const {
+    return leader_of(config_.admin_adapter_index);
+  }
   [[nodiscard]] Central* central() { return central_; }
   [[nodiscard]] RootCentral* root_central() { return root_central_; }
   [[nodiscard]] net::Transport& transport() { return transport_; }
@@ -157,15 +163,17 @@ class GsDaemon {
   void set_uplink(DomainUplink* uplink) { uplink_ = uplink; }
   // DomainUplink::Iface::send — ships a digest to the root GSC via the
   // uplink adapter (delivered locally when this node *is* the root).
-  void send_domain_report(const DomainReport& rep);
+  void send_domain_report(const DomainReport& rep, const net::Payload& frame);
   // DomainUplink::Iface::root_ip — the uplink adapter's AMG leader, i.e.
   // the root GSC (unspecified while uncommitted or without an uplink).
-  [[nodiscard]] util::IpAddress uplink_root_ip() const;
+  [[nodiscard]] util::IpAddress uplink_root_ip() const {
+    return uplink_index_ ? leader_of(*uplink_index_) : util::IpAddress();
+  }
 
   // Drops every parked datagram without dispatching it, cancelling its
-  // processing-delay event. Teardown only, like Fabric::drop_in_flight():
-  // call it on the thread that runs the daemon, so the parked payloads die
-  // in their home pool.
+  // processing-delay event, and every report frame held for retry (the
+  // uplink's too). Teardown only, like Fabric::drop_in_flight(): call it on
+  // the thread that runs the daemon, so the payloads die in their home pool.
   void drop_in_flight();
 
   [[nodiscard]] std::uint64_t frames_dropped() const {
@@ -175,12 +183,6 @@ class GsDaemon {
   [[nodiscard]] const WireStats& wire_stats() const { return wire_stats_; }
 
  private:
-  struct OutstandingReport {
-    std::uint64_t seq = 0;
-    MembershipReport report;
-    net::Payload frame;  // encoded once; retries share the same bytes
-  };
-
   // One received datagram waiting out its modelled processing delay, parked
   // in a slab so the delay event captures only {this, slot} — inside
   // std::function's inline buffer, so a reception allocates nothing. A free
@@ -195,9 +197,28 @@ class GsDaemon {
   void on_datagram(std::size_t index, const net::Datagram& dgram);
   void deliver_parked(std::uint32_t slot);
   void dispatch(std::size_t index, const net::Datagram& dgram);
-  void handle_report_frame(util::IpAddress src, const MembershipReport& rep);
-  void handle_report_ack(const ReportAck& ack);
-  void deliver_ack_locally(const ReportAck& ack);
+  // Decodes one report-channel frame and hands it to receive().
+  template <typename Msg>
+  HandleResult receive_frame(std::size_t index, util::IpAddress src,
+                             FrameRef frame);
+  // A report that arrived on adapter `index`: to the hosted Central tier
+  // that consumes it, whose ack goes back through reply().
+  void receive(std::size_t index, util::IpAddress src,
+               const MembershipReport& rep);
+  void receive(std::size_t index, util::IpAddress src, const DomainReport& rep);
+  // An ack for one of this node's reports: to the sender it belongs to.
+  void receive(std::size_t index, util::IpAddress src, const ReportAck& ack);
+  void receive(std::size_t index, util::IpAddress src,
+               const DomainReportAck& ack);
+  // Sends a report out of adapter `index` toward `to`, or loops it back into
+  // receive() when `to` is that very adapter (this node hosts the Central).
+  template <typename Report>
+  void send_report(std::size_t index, util::IpAddress to, const Report& rep,
+                   const net::Payload& frame);
+  // Acks a report back to `to` through adapter `index`, looping it back
+  // when the report came from this very adapter.
+  template <typename Ack>
+  void reply(std::size_t index, util::IpAddress to, const Ack& ack);
   void report_pending(std::size_t index);
   void try_send_report(std::size_t index);
   void arm_report_retry();
@@ -206,8 +227,8 @@ class GsDaemon {
   void report_refresh_tick();
   void on_admin_committed(const MembershipView& view);
   void on_uplink_committed(const MembershipView& view);
-  void handle_domain_report_frame(std::size_t index, util::IpAddress src,
-                                  const DomainReport& rep);
+  // Adapter `index`'s AMG leader (unspecified while uncommitted).
+  [[nodiscard]] util::IpAddress leader_of(std::size_t index) const;
   [[nodiscard]] util::IpAddress admin_ip() const {
     return transport_.local_ip(config_.admin_adapter_index);
   }
@@ -230,7 +251,9 @@ class GsDaemon {
 
   util::IpAddress last_gsc_;
   util::IpAddress last_root_;
-  std::vector<std::optional<OutstandingReport>> outstanding_;
+  // One per adapter; only a committed leader's ever holds a report. The
+  // retry and refresh timers are shared by all of them.
+  std::vector<ReportSender<MembershipReport>> senders_;
   sim::Timer report_retry_timer_;
   sim::Timer report_refresh_timer_;
   bool started_ = false;

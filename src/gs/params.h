@@ -71,26 +71,23 @@ struct Params {
   sim::SimDuration amg_stable_wait = sim::seconds(5);   // T_AMG
   sim::SimDuration gsc_stable_wait = sim::seconds(15);  // T_GSC
   sim::SimDuration report_retry = sim::seconds(2);
-  // Soft-state lease on the GSC's group table. Leaders re-send their report
-  // every report_refresh even without membership changes, and the GSC
-  // retires any group whose leader stayed silent for group_lease: when a
-  // whole group dies at once (e.g. the last node of a partition half), no
-  // survivor exists to report the death, so silence is the only signal.
-  // Zero group_lease disables expiry; zero report_refresh disables the
-  // refresh AND the expiry sweep (without renewals every healthy-but-quiet
-  // group would expire on schedule).
+  // Soft-state lease on both Central tiers' tables (report_channel.h). AMG
+  // leaders and domain uplinks re-send a full report every report_refresh
+  // even without changes, and the receiving Central retires any group (the
+  // root: any domain) silent for group_lease: when a whole group dies at
+  // once (e.g. the last node of a partition half), no survivor exists to
+  // report the death, so silence is the only signal. Zero group_lease
+  // disables expiry; zero report_refresh disables the refresh AND the
+  // expiry sweep (without renewals every healthy-but-quiet source would
+  // expire on schedule).
   sim::SimDuration report_refresh = sim::seconds(10);
   sim::SimDuration group_lease = sim::seconds(25);
 
   // --- Two-level hierarchy (domain Central -> root GSC) ---------------------
   // Domain uplinks batch table changes for domain_batch before flushing one
   // DomainReport frame (many per-adapter changes per frame); zero flushes
-  // every change immediately. The root retires a whole domain's slice after
-  // domain_lease of uplink silence; uplinks re-send a full digest every
-  // domain_refresh to renew it (zero disables, mirroring the flat lease).
+  // every change immediately.
   sim::SimDuration domain_batch = sim::milliseconds(200);
-  sim::SimDuration domain_refresh = sim::seconds(10);
-  sim::SimDuration domain_lease = sim::seconds(25);
 
   // --- GulfStream Central (§3, §3.1) ---------------------------------------
   sim::SimDuration move_window = sim::seconds(10);  // move-inference hold

@@ -17,8 +17,6 @@ proto::Params default_soak_params() {
   params.move_window = sim::seconds(5);
   params.report_refresh = sim::seconds(3);
   params.group_lease = sim::seconds(8);
-  params.domain_refresh = sim::seconds(3);
-  params.domain_lease = sim::seconds(8);
   return params;
 }
 

@@ -180,8 +180,8 @@ TEST_F(RootCentralTest, RemovedAdapterDropsFromTables) {
 }
 
 TEST_F(RootCentralTest, DomainLeaseExpiryMarksSliceDead) {
-  params_.domain_lease = sim::seconds(8);
-  params_.domain_refresh = sim::seconds(3);
+  params_.group_lease = sim::seconds(8);
+  params_.report_refresh = sim::seconds(3);
   RootCentral root(sim_, params_);
   root.activate(ip(250));
   send(root, full(0, 1, {entry(9, 1, 9), entry(5, 2, 9)}));
@@ -229,13 +229,13 @@ class UplinkTest : public ::testing::Test {
   UplinkTest() {
     params_.trace = &bus_;
     params_.report_retry = sim::seconds(2);
-    params_.domain_refresh = sim::seconds(3);
-    params_.domain_lease = sim::seconds(8);
+    params_.report_refresh = sim::seconds(3);
+    params_.group_lease = sim::seconds(8);
     tracker_ = std::make_unique<obs::SpanTracker>(bus_);
     central_ = std::make_unique<Central>(sim_, params_, nullptr, nullptr);
     root_ = std::make_unique<RootCentral>(sim_, params_);
     DomainUplink::Iface iface;
-    iface.send = [this](const DomainReport& rep) {
+    iface.send = [this](const DomainReport& rep, const net::Payload& /*frame*/) {
       ++sends_;
       if (drop_sends_ > 0) {
         --drop_sends_;
@@ -361,8 +361,17 @@ TEST_F(UplinkTest, RefreshRenewsDomainLease) {
   leader_report(9, 1, {member(9, 1), member(5, 2)});
   run_for(sim::milliseconds(300));
   // Nothing changes for several leases; the periodic full refresh must keep
-  // renewing the domain at the root.
-  run_for(sim::seconds(20));
+  // renewing the domain at the root. The leader meanwhile renews its own
+  // group at the domain Central, whose lease is the same knob.
+  int full_digests = 0;
+  auto fulls = bus_.subscribe(
+      obs::kind_bit(obs::TraceKind::kDomainReportSent),
+      [&full_digests](const obs::TraceRecord& r) { full_digests += r.b == 1; });
+  for (std::uint64_t seq = 2; seq <= 11; ++seq) {
+    run_for(sim::seconds(2));
+    leader_report(9, seq, {member(9, 1), member(5, 2)});
+  }
+  EXPECT_GE(full_digests, 6);  // one per report_refresh
   EXPECT_EQ(root_->domain_count(), 1u);
   EXPECT_TRUE(root_->adapter_status(ip(5))->alive);
   // Silence the uplink outright: the domain expires wholesale.

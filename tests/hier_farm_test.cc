@@ -19,8 +19,8 @@ proto::Params hier_params() {
   p.amg_stable_wait = sim::milliseconds(500);
   p.gsc_stable_wait = sim::seconds(2);
   p.move_window = sim::seconds(3);
-  p.domain_refresh = sim::seconds(2);
-  p.domain_lease = sim::seconds(6);
+  p.report_refresh = sim::seconds(2);
+  p.group_lease = sim::seconds(6);
   return p;
 }
 
@@ -143,7 +143,7 @@ TEST_F(HierFarmTest, DarkDomainExpiresWholesaleAndRecovers) {
   ASSERT_TRUE(second.has_value());
   ASSERT_NE(*second, *first);
   farm_->fail_node(*second);
-  // After domain_lease of silence the root retires the slice wholesale:
+  // After group_lease of silence the root retires the slice wholesale:
   // every row it owned goes dead and the incarnation is forgotten.
   ASSERT_TRUE(farm::run_until(sim_, sim_.now() + sim::seconds(120), [&] {
     proto::RootCentral* root = farm_->active_root_central();

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "gs/adapter_protocol.h"
+#include "gs/report_channel.h"
 #include "net/fabric.h"
 #include "wire/frame.h"
 
@@ -27,6 +28,22 @@ Params crisp_params() {
   p.defer_timeout = sim::seconds(3);
   return p;
 }
+
+// Numbers and acks a leader's reports the way GsDaemon does.
+struct Reporter {
+  explicit Reporter(AdapterProtocol& l) : leader(l) {}
+  MembershipReport next() {
+    sender.stamp(leader.build_report(sender.need_full()), scratch);
+    return sender.report();
+  }
+  void ack() {
+    ASSERT_TRUE(sender.ack(sender.report().seq, /*need_full=*/false));
+    leader.report_acked();
+  }
+  AdapterProtocol& leader;
+  ReportSender<MembershipReport> sender;
+  wire::Writer scratch;
+};
 
 class ProtoHarness {
  public:
@@ -283,17 +300,18 @@ TEST(Protocol, LeaderBuildsFullThenDeltaReports) {
                           [&] { return h.group_converged({1, 2, 3}); }));
 
   AdapterProtocol& leader = h.at(3);
-  MembershipReport full = leader.build_report();
+  Reporter reporter(leader);
+  MembershipReport full = reporter.next();
   EXPECT_TRUE(full.full);
   EXPECT_EQ(full.added.size(), 3u);
   EXPECT_EQ(full.seq, 1u);
-  leader.report_acked(full.seq);
+  reporter.ack();
 
   // Kill a member; after recommit the next report is a delta.
   h.fabric_.set_adapter_health(h.id_of(1), net::HealthState::kDown);
   ASSERT_TRUE(h.run_until(h.sim_.now() + sim::seconds(15),
                           [&] { return h.group_converged({2, 3}); }));
-  MembershipReport delta = leader.build_report();
+  MembershipReport delta = reporter.next();
   EXPECT_FALSE(delta.full);
   EXPECT_TRUE(delta.added.empty());
   ASSERT_EQ(delta.removed.size(), 1u);
@@ -307,20 +325,21 @@ TEST(Protocol, UnackedDeltaIsCumulative) {
   h.start_all();
   ASSERT_TRUE(h.run_until(sim::seconds(15),
                           [&] { return h.group_converged({1, 2, 3, 4}); }));
-  AdapterProtocol& leader = h.at(4);
-  leader.report_acked(leader.build_report().seq);  // baseline acked
+  Reporter reporter(h.at(4));
+  reporter.next();
+  reporter.ack();  // baseline acked
 
   h.fabric_.set_adapter_health(h.id_of(1), net::HealthState::kDown);
   ASSERT_TRUE(h.run_until(h.sim_.now() + sim::seconds(15),
                           [&] { return h.group_converged({2, 3, 4}); }));
-  MembershipReport first = leader.build_report();  // not acked (lost)
+  MembershipReport first = reporter.next();  // not acked (lost)
   ASSERT_EQ(first.removed.size(), 1u);
 
   h.fabric_.set_adapter_health(h.id_of(2), net::HealthState::kDown);
   ASSERT_TRUE(h.run_until(h.sim_.now() + sim::seconds(15),
                           [&] { return h.group_converged({3, 4}); }));
   // The rebuilt report covers BOTH removals relative to the acked baseline.
-  MembershipReport second = leader.build_report();
+  MembershipReport second = reporter.next();
   EXPECT_EQ(second.removed.size(), 2u);
 }
 
@@ -330,10 +349,11 @@ TEST(Protocol, NeedFullForcesSnapshot) {
   h.start_all();
   ASSERT_TRUE(
       h.run_until(sim::seconds(15), [&] { return h.group_converged({1, 2}); }));
-  AdapterProtocol& leader = h.at(2);
-  leader.report_acked(leader.build_report().seq);
-  leader.mark_need_full();
-  MembershipReport report = leader.build_report();
+  Reporter reporter(h.at(2));
+  reporter.next();
+  reporter.ack();
+  reporter.sender.mark_full();
+  MembershipReport report = reporter.next();
   EXPECT_TRUE(report.full);
   EXPECT_EQ(report.added.size(), 2u);
 }

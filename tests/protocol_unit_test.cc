@@ -9,6 +9,7 @@
 #include <set>
 
 #include "gs/adapter_protocol.h"
+#include "gs/report_channel.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
 #include "wire/frame.h"
@@ -384,11 +385,16 @@ TEST_F(ProtocolUnit, LeaderReportsFullThenDelta) {
   sim_.run_until(sim_.now() + params_.amg_stable_wait + sim::milliseconds(10));
   EXPECT_TRUE(report_pending_);
 
-  MembershipReport full = proto_->build_report();
+  // Numbered and acked the way GsDaemon does.
+  ReportSender<MembershipReport> sender;
+  wire::Writer scratch;
+  sender.stamp(proto_->build_report(sender.need_full()), scratch);
+  const MembershipReport full = sender.report();
   EXPECT_TRUE(full.full);
   EXPECT_EQ(full.added.size(), 3u);
   EXPECT_TRUE(full.removed.empty());
-  proto_->report_acked(full.seq);
+  ASSERT_TRUE(sender.ack(full.seq, /*need_full=*/false));
+  proto_->report_acked();
 
   // Remove member 3 (probes unanswered), recommit, then build the delta.
   // Ack the re-Prepare promptly so member 5 is not dropped as silent too.
@@ -407,7 +413,8 @@ TEST_F(ProtocolUnit, LeaderReportsFullThenDelta) {
   inject(ip(5), ack);
   ASSERT_FALSE(proto_->committed().contains(ip(3)));
 
-  MembershipReport delta = proto_->build_report();
+  sender.stamp(proto_->build_report(sender.need_full()), scratch);
+  const MembershipReport delta = sender.report();
   EXPECT_FALSE(delta.full);
   EXPECT_TRUE(delta.added.empty());
   ASSERT_EQ(delta.removed.size(), 1u);
