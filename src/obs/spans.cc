@@ -119,6 +119,27 @@ void SpanTracker::unmatched(SpanKind kind) {
   span_counter(kind, "unmatched_close").add();
 }
 
+void SpanTracker::open_keyed(OpenMap& spans, SpanKind kind,
+                             util::IpAddress source, std::uint64_t id,
+                             sim::SimTime now) {
+  auto [it, inserted] = spans.try_emplace(source, OpenKeyed{id, now});
+  if (!inserted) {
+    if (it->second.id == id) return;  // retry of the same round or seq
+    abandon(kind, AbandonCause::kSuperseded);
+    it->second = OpenKeyed{id, now};
+  }
+  open(kind);
+}
+
+std::optional<sim::SimTime> SpanTracker::take_keyed(
+    OpenMap& spans, util::IpAddress source, std::optional<std::uint64_t> id) {
+  auto it = spans.find(source);
+  if (it == spans.end() || (id && it->second.id != *id)) return std::nullopt;
+  const sim::SimTime opened_at = it->second.opened_at;
+  spans.erase(it);
+  return opened_at;
+}
+
 std::uint64_t SpanTracker::open_count(SpanKind kind) const {
   return open_now_[idx(kind)];
 }
@@ -188,16 +209,10 @@ void SpanTracker::on_record(const TraceRecord& record) {
       // flag at the right moment.
       if (record.a == 1) t.installed = false;
       t.faulted = true;
-      if (auto it = open_reports_.find(record.source);
-          it != open_reports_.end()) {
+      if (take_keyed(open_reports_, record.source))
         abandon(SpanKind::kReport, AbandonCause::kDied);
-        open_reports_.erase(it);
-      }
-      if (auto it = open_domain_reports_.find(record.source);
-          it != open_domain_reports_.end()) {
+      if (take_keyed(open_domain_reports_, record.source))
         abandon(SpanKind::kDomainReport, AbandonCause::kDied);
-        open_domain_reports_.erase(it);
-      }
       if (t.fault_at >= 0) {
         // Back-to-back fault without an intervening clear (health moved
         // between two non-kUp states through kUp edges is the only way
@@ -261,46 +276,29 @@ void SpanTracker::on_record(const TraceRecord& record) {
       }
       if (record.peer == record.source) {
         // Installed as leader: this is the commit of its own proposal.
-        auto it = open_proposals_.find(record.source);
-        if (it != open_proposals_.end() && it->second.id == record.a) {
-          close(SpanKind::kViewChange, it->second.opened_at, now);
-          open_proposals_.erase(it);
-        }
+        if (auto at = take_keyed(open_proposals_, record.source, record.a))
+          close(SpanKind::kViewChange, *at, now);
       } else {
         // Installed as a member of someone else's view: any in-flight
         // report of its former leadership is moot — the new leader
         // reports for the merged group. (The coordinator-side proposal,
         // if one was open, is aborted by the kTwoPcAbort that
         // clear_leader_duty_state emits right after this record.)
-        if (auto it = open_reports_.find(record.source);
-            it != open_reports_.end()) {
+        if (take_keyed(open_reports_, record.source))
           abandon(SpanKind::kReport, AbandonCause::kDemoted);
-          open_reports_.erase(it);
-        }
       }
       break;
     }
-    case TraceKind::kTwoPcPrepare: {
-      auto [it, inserted] =
-          open_proposals_.try_emplace(record.source, OpenKeyed{record.a, now});
-      if (!inserted) {
-        if (it->second.id == record.a) break;  // retry of the same round
-        abandon(SpanKind::kViewChange, AbandonCause::kSuperseded);
-        it->second = OpenKeyed{record.a, now};
-      }
-      open(SpanKind::kViewChange);
+    case TraceKind::kTwoPcPrepare:
+      open_keyed(open_proposals_, SpanKind::kViewChange, record.source,
+                 record.a, now);
       break;
-    }
-    case TraceKind::kTwoPcAbort: {
-      auto it = open_proposals_.find(record.source);
-      if (it != open_proposals_.end() && it->second.id == record.a) {
+    case TraceKind::kTwoPcAbort:
+      if (take_keyed(open_proposals_, record.source, record.a))
         abandon(SpanKind::kViewChange, record.b == 1
                                            ? AbandonCause::kAborted2Pc
                                            : AbandonCause::kDemoted);
-        open_proposals_.erase(it);
-      }
       break;
-    }
     case TraceKind::kReset: {
       Target& t = targets_[record.source];
       t.installed = false;
@@ -308,77 +306,44 @@ void SpanTracker::on_record(const TraceRecord& record) {
         abandon(SpanKind::kJoin, AbandonCause::kReset);
         t.join_open = -1;
       }
-      // GsDaemon::Hooks::on_reset drops the outstanding report on the
+      // GsDaemon's on_reset hook drops the outstanding report on the
       // floor, so its span can never close.
-      if (auto it = open_reports_.find(record.source);
-          it != open_reports_.end()) {
+      if (take_keyed(open_reports_, record.source))
         abandon(SpanKind::kReport, AbandonCause::kReset);
-        open_reports_.erase(it);
-      }
       break;
     }
-    case TraceKind::kReportSent: {
-      auto [it, inserted] =
-          open_reports_.try_emplace(record.source, OpenKeyed{record.a, now});
-      if (!inserted) {
-        if (it->second.id == record.a) break;  // retry of the same seq
-        abandon(SpanKind::kReport, AbandonCause::kSuperseded);
-        it->second = OpenKeyed{record.a, now};
-      }
-      open(SpanKind::kReport);
+    case TraceKind::kReportSent:
+      open_keyed(open_reports_, SpanKind::kReport, record.source, record.a,
+                 now);
       break;
-    }
-    case TraceKind::kDomainReportSent: {
-      auto [it, inserted] = open_domain_reports_.try_emplace(
-          record.source, OpenKeyed{record.a, now});
-      if (!inserted) {
-        if (it->second.id == record.a) break;  // retry of the same seq
-        abandon(SpanKind::kDomainReport, AbandonCause::kSuperseded);
-        it->second = OpenKeyed{record.a, now};
-      }
-      open(SpanKind::kDomainReport);
+    case TraceKind::kDomainReportSent:
+      open_keyed(open_domain_reports_, SpanKind::kDomainReport, record.source,
+                 record.a, now);
       break;
-    }
-    case TraceKind::kDomainReportDropped: {
+    case TraceKind::kDomainReportDropped:
       // The uplink's domain Central deactivated with this digest in flight:
       // the retry timer is gone and a demoted standby never sends again, so
       // no later record can close or supersede the span. (On a node death
       // this edge precedes the adapter's kFaultInjected — the daemon halts
       // before the fabric faults its NICs — so the abandon reads kDemoted,
       // which is still the truth: the Central went away under the digest.)
-      auto it = open_domain_reports_.find(record.source);
-      if (it != open_domain_reports_.end() && it->second.id == record.a) {
+      if (take_keyed(open_domain_reports_, record.source, record.a))
         abandon(SpanKind::kDomainReport, AbandonCause::kDemoted);
-        open_domain_reports_.erase(it);
-      }
       break;
-    }
-    case TraceKind::kDomainReportNeedFull: {
-      auto it = open_domain_reports_.find(record.source);
-      if (it != open_domain_reports_.end() && it->second.id == record.a) {
+    case TraceKind::kDomainReportNeedFull:
+      if (take_keyed(open_domain_reports_, record.source, record.a))
         abandon(SpanKind::kDomainReport, AbandonCause::kNeedFull);
-        open_domain_reports_.erase(it);
-      }
       break;
-    }
-    case TraceKind::kRootReportApplied: {
-      auto it = open_domain_reports_.find(record.peer);
-      if (it != open_domain_reports_.end() && it->second.id == record.a) {
-        close(SpanKind::kDomainReport, it->second.opened_at, now);
-        open_domain_reports_.erase(it);
-      } else {
+    case TraceKind::kRootReportApplied:
+      if (auto at = take_keyed(open_domain_reports_, record.peer, record.a))
+        close(SpanKind::kDomainReport, *at, now);
+      else
         unmatched(SpanKind::kDomainReport);
-      }
       break;
-    }
-    case TraceKind::kRootReportDup: {
-      auto it = open_domain_reports_.find(record.peer);
-      if (it != open_domain_reports_.end() && it->second.id == record.a) {
+    case TraceKind::kRootReportDup:
+      if (take_keyed(open_domain_reports_, record.peer, record.a))
         abandon(SpanKind::kDomainReport, AbandonCause::kDuplicate);
-        open_domain_reports_.erase(it);
-      }
       break;
-    }
     case TraceKind::kRootActivated:
     case TraceKind::kRootDeactivated: {
       // The root's tables (re)start empty either way: in-flight digests can
@@ -390,13 +355,10 @@ void SpanTracker::on_record(const TraceRecord& record) {
       break;
     }
     case TraceKind::kGscReportApplied: {
-      auto it = open_reports_.find(record.peer);
-      if (it != open_reports_.end() && it->second.id == record.a) {
-        close(SpanKind::kReport, it->second.opened_at, now);
-        open_reports_.erase(it);
-      } else {
+      if (auto at = take_keyed(open_reports_, record.peer, record.a))
+        close(SpanKind::kReport, *at, now);
+      else
         unmatched(SpanKind::kReport);
-      }
       if (failover_open_) {
         // First report landing in any active Central after a GSC loss:
         // the reporting hierarchy is flowing again.
@@ -405,22 +367,14 @@ void SpanTracker::on_record(const TraceRecord& record) {
       }
       break;
     }
-    case TraceKind::kGscReportDup: {
-      auto it = open_reports_.find(record.peer);
-      if (it != open_reports_.end() && it->second.id == record.a) {
+    case TraceKind::kGscReportDup:
+      if (take_keyed(open_reports_, record.peer, record.a))
         abandon(SpanKind::kReport, AbandonCause::kDuplicate);
-        open_reports_.erase(it);
-      }
       break;
-    }
-    case TraceKind::kReportNeedFull: {
-      auto it = open_reports_.find(record.source);
-      if (it != open_reports_.end() && it->second.id == record.a) {
+    case TraceKind::kReportNeedFull:
+      if (take_keyed(open_reports_, record.source, record.a))
         abandon(SpanKind::kReport, AbandonCause::kNeedFull);
-        open_reports_.erase(it);
-      }
       break;
-    }
     case TraceKind::kDeathDeclared:
     case TraceKind::kTakeover: {
       // Leader-side detection: the group removed the victim. Central's

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -117,6 +118,9 @@ class SpanTracker {
     std::uint64_t id = 0;  // view (proposals) or seq (reports)
     sim::SimTime opened_at = 0;
   };
+  // Keyed spans — 2PC proposals and both report tiers — are one open span
+  // per source, identified by a view or seq number.
+  using OpenMap = std::map<util::IpAddress, OpenKeyed>;
   struct NodeFaults {
     std::uint64_t down = 0;         // adapters currently faulted
     sim::SimTime first_fault = 0;   // when the first of them went down
@@ -128,6 +132,15 @@ class SpanTracker {
   void close(SpanKind kind, sim::SimTime opened_at, sim::SimTime now);
   void abandon(SpanKind kind, AbandonCause cause);
   void unmatched(SpanKind kind);
+  // Opens `source`'s keyed span for `id`. A repeat of the open id (a retry)
+  // changes nothing; a new id supersedes the open span.
+  void open_keyed(OpenMap& spans, SpanKind kind, util::IpAddress source,
+                  std::uint64_t id, sim::SimTime now);
+  // Removes `source`'s open keyed span (only the one for `id`, when given)
+  // and returns when it opened; nullopt when none matched.
+  static std::optional<sim::SimTime> take_keyed(
+      OpenMap& spans, util::IpAddress source,
+      std::optional<std::uint64_t> id = std::nullopt);
   util::Counter& span_counter(SpanKind kind, std::string_view outcome);
 
   util::StatsRegistry own_registry_;
@@ -135,9 +148,9 @@ class SpanTracker {
 
   std::map<util::IpAddress, Target> targets_;
   std::map<util::NodeId, NodeFaults> node_faults_;
-  std::map<util::IpAddress, OpenKeyed> open_proposals_;
-  std::map<util::IpAddress, OpenKeyed> open_reports_;
-  std::map<util::IpAddress, OpenKeyed> open_domain_reports_;
+  OpenMap open_proposals_;
+  OpenMap open_reports_;
+  OpenMap open_domain_reports_;
   bool failover_open_ = false;
   sim::SimTime failover_opened_at_ = 0;
   util::IpAddress failed_gsc_;
