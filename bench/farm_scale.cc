@@ -410,8 +410,11 @@ MicroResult run_multicast_micro(std::size_t adapters, std::size_t vlans,
 //
 // Both passes must deliver exactly the same count and fire the same number
 // of suspicion timeouts — the schedule is deterministic — so the wall-time
-// ratio isolates what the wheel + batching bought the steady state.
-// --min_steady_speedup turns a regression into a nonzero exit.
+// ratio isolates what the wheel + batching bought the steady state. The two
+// shapes run as interleaved pairs, alternating which goes first, so host
+// drift during the bench lands on both sides alike; the gated speedup is
+// the median of the per-pair ratios. --min_steady_speedup turns a
+// regression into a nonzero exit.
 struct SteadyReplicaResult {
   double legacy_wall_s = 0;
   double batched_wall_s = 0;
@@ -607,33 +610,49 @@ ReplicaCounts replica_pass(std::size_t frames, std::size_t fan) {
 }
 
 template <typename Queue, bool kBatched>
-double replica_best_of(std::size_t frames, std::size_t fan,
-                       ReplicaCounts* counts) {
-  double best = -1.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = Clock::now();
-    const ReplicaCounts got = replica_pass<Queue, kBatched>(frames, fan);
-    const double dt = seconds_since(t0);
-    if (best < 0 || dt < best) best = dt;
-    *counts = got;
-  }
-  return best;
+double timed_replica_pass(std::size_t frames, std::size_t fan,
+                          ReplicaCounts* counts) {
+  const auto t0 = Clock::now();
+  *counts = replica_pass<Queue, kBatched>(frames, fan);
+  return seconds_since(t0);
+}
+
+double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 SteadyReplicaResult run_steady_replica(std::size_t frames, std::size_t fan) {
+  constexpr int kPairs = 7;
   SteadyReplicaResult out;
   ReplicaCounts legacy{}, batched{};
-  out.legacy_wall_s =
-      replica_best_of<gs::sim::HeapEventQueue, false>(frames, fan, &legacy);
-  out.batched_wall_s =
-      replica_best_of<gs::sim::EventQueue, true>(frames, fan, &batched);
+  std::vector<double> legacy_s, batched_s, ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double batched_dt = 0;
+    if (pair % 2 == 0) {
+      batched_dt = timed_replica_pass<gs::sim::EventQueue, true>(frames, fan,
+                                                                 &batched);
+    }
+    const double legacy_dt =
+        timed_replica_pass<gs::sim::HeapEventQueue, false>(frames, fan,
+                                                           &legacy);
+    if (pair % 2 == 1) {
+      batched_dt = timed_replica_pass<gs::sim::EventQueue, true>(frames, fan,
+                                                                 &batched);
+    }
+    legacy_s.push_back(legacy_dt);
+    batched_s.push_back(batched_dt);
+    ratios.push_back(legacy_dt / batched_dt);
+  }
+  out.legacy_wall_s = median_of(legacy_s);
+  out.batched_wall_s = median_of(batched_s);
   // The schedule is deterministic, so any count divergence means one side
   // dropped or double-ran an event — fail loudly rather than report a bogus
   // ratio.
   GS_CHECK(legacy.delivered == batched.delivered);
   GS_CHECK(legacy.fires == batched.fires);
   out.delivered = legacy.delivered;
-  out.speedup = out.legacy_wall_s / out.batched_wall_s;
+  out.speedup = median_of(ratios);
   return out;
 }
 
@@ -732,10 +751,12 @@ int main(int argc, char** argv) {
       "\nsteady event path (%zu frames x fan %zu, %llu deliveries):\n",
       replica_frames, replica_fan,
       static_cast<unsigned long long>(replica.delivered));
-  std::printf("  heap, per-receiver %8.3f s   (pre-wheel replica)\n",
+  std::printf("  heap, per-receiver %8.3f s   (pre-wheel replica, median)\n",
               replica.legacy_wall_s);
-  std::printf("  wheel, batched     %8.3f s\n", replica.batched_wall_s);
-  std::printf("  speedup            %8.2fx\n", replica.speedup);
+  std::printf("  wheel, batched     %8.3f s   (median)\n",
+              replica.batched_wall_s);
+  std::printf("  speedup            %8.2fx  (median of paired ratios)\n",
+              replica.speedup);
 
   gs::bench::BenchJson json("farm_scale");
   json.set("adapters", static_cast<std::int64_t>(adapters));
